@@ -29,7 +29,6 @@ from .errors import (
 )
 from .linalg import (
     NO_SOLUTION,
-    NoSolution,
     RdvDecomposition,
     SubspaceBasis,
     kernel_coords,

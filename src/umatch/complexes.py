@@ -46,8 +46,9 @@ def simplex_rank(simplex: Sequence[int]) -> int:
 
 
 class FilteredCliqueComplex:
-    """Vietoris-Rips complex of a dissimilarity matrix: a simplex is born at
-    the largest pairwise dissimilarity of its vertices."""
+    """Vietoris-Rips complex of a dissimilarity matrix: a vertex is born at
+    its diagonal entry, and a larger simplex at the largest vertex birth or
+    pairwise dissimilarity of its vertices."""
 
     kind = "clique"
 
@@ -61,7 +62,10 @@ class FilteredCliqueComplex:
             raise UsageError("dissimilarity must be symmetric")
         if max_dim < 0:
             raise UsageError("max_dim must be nonnegative")
-        self.d = d
+        # an edge is born no earlier than its vertices, so a simplex is born
+        # at the maximum of its vertex births and edge weights
+        diag = np.diag(d)
+        self.d = np.maximum(d, np.maximum.outer(diag, diag))
         self.n_points = d.shape[0]
         self.max_dim = max_dim
         self.threshold = float(threshold)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .coeff import Field
 from .errors import InternalInconsistencyError, UsageError
-from .matrix import MatrixOracle, SparseVector, StoredCsMatrix
+from .matrix import MatrixOracle, SparseVector, StoredCsMatrix, _accumulate
 
 
 @dataclass
@@ -145,6 +145,8 @@ class CompressedUmatch:
         self.kappa_pos = m.kappa_pos
         # pi[p] = pivot-row position paired with pivot-column position p
         self.pi = tuple(m.rho_pos[m.row_of_col[c]] for c in m.kappa)
+        # pi_inv[q] = pivot-column position paired with pivot-row position q
+        self.pi_inv = tuple(m.kappa_pos[m.col_of_row[r]] for r in m.rho)
         # m_diag[p] = M[row(kappa_p), kappa_p]
         self.m_diag = tuple(m.coeff(m.row_of_col[c]) for c in m.kappa)
 
@@ -156,17 +158,24 @@ class CompressedUmatch:
     def rank(self) -> int:
         return self.matching.rank
 
+    def lift(self, v: SparseVector, index: Sequence[int]) -> SparseVector:
+        """Pivot positions to absolute indices through rho or kappa; both
+        are sorted, so the entries stay in order."""
+        return SparseVector(self.field, tuple((index[k], a) for k, a in v.entries), _checked=True)
+
+    def restrict(self, v: SparseVector, pos: dict[int, int]) -> SparseVector:
+        """Absolute indices to pivot positions through rho_pos or kappa_pos,
+        dropping the unmatched indices; the entries stay in order."""
+        return SparseVector(self.field, tuple((pos[i], a) for i, a in v.entries if i in pos),
+                            _checked=True)
+
     def d_row_kappa(self, i: int) -> SparseVector:
         """Row i of D restricted to pivot columns, in pivot-column positions."""
-        pos = self.kappa_pos
-        ent = [(pos[j], v) for j, v in self.d.row(i).entries if j in pos]
-        return SparseVector(self.field, tuple(ent), _checked=True)
+        return self.restrict(self.d.row(i), self.kappa_pos)
 
     def d_col_rho(self, j: int) -> SparseVector:
         """Column j of D restricted to pivot rows, in pivot-row positions."""
-        pos = self.rho_pos
-        ent = [(pos[i], v) for i, v in self.d.col(j).entries if i in pos]
-        return SparseVector(self.field, tuple(ent), _checked=True)
+        return self.restrict(self.d.col(j), self.rho_pos)
 
 
 class _LazyHeapRow:
@@ -345,12 +354,7 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
             work.push_value(k, a)
             for jj, w in rbar_rows[j].items():
                 work.push_iter(d.row(jj).entries, f.mul(neg_lam, w))
-            for jj, w in rbar_rows[j].items():
-                nv = f.sub(vec.get(jj, 0), f.mul(lam, w))
-                if nv:
-                    vec[jj] = nv
-                elif jj in vec:
-                    del vec[jj]
+            _accumulate(vec, neg_lam, rbar_rows[j].items(), f.p)
             if counter is not None:
                 counter.eliminations += 1
 

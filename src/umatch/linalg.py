@@ -14,6 +14,7 @@ from .matrix import (
     MatrixOracle,
     SparseVector,
     StoredCsMatrix,
+    _accumulate,
     matvec,
     scale,
     vecmat,
@@ -21,55 +22,44 @@ from .matrix import (
 from .retrieve import PivotBlockProduct, RetrievalTarget, _Retriever, retrieve, triangular_solve
 
 
-class NoSolution:
-    """Typed outcome for an inconsistent linear system (not an error)."""
+class Sentinel:
+    """A falsy typed outcome that is not an error, such as an inconsistent
+    linear system; each instance is a singleton compared with `is`."""
 
-    _instance = None
+    __slots__ = ("name",)
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self):
-        return "NoSolution"
+        return self.name
 
     def __bool__(self):
         return False
 
 
-NO_SOLUTION = NoSolution()
+NO_SOLUTION = Sentinel("NoSolution")
 
 
-def solve_dx_b(u: CompressedUmatch, b: SparseVector) -> Union[SparseVector, NoSolution]:
+def solve_dx_b(u: CompressedUmatch, b: SparseVector) -> Union[SparseVector, Sentinel]:
     """Solve D x = b; the returned solution minimizes max supp(x) over all
     solutions.  Returns NO_SOLUTION when b is outside the column space."""
-    f = u.field
     if b.entries and b.entries[-1][0] >= u.d.nrows:
         raise UsageError("right-hand side longer than the codomain")
-    r = _Retriever(u)
-    pos = u.rho_pos
-    b_rho = SparseVector(f, tuple((pos[i], v) for i, v in b.entries if i in pos), _checked=True)
-    w = r.rbar_matvec(b_rho)
-    xk = r.solve_a_left(w)
-    x = SparseVector(f, tuple(sorted((u.kappa[p], v) for p, v in xk.entries)), _checked=True)
+    w = matvec(u.rbar, u.restrict(b, u.rho_pos))
+    x = u.lift(_Retriever(u).solve_a_left(w), u.kappa)
     if matvec(u.d, x) != b:
         return NO_SOLUTION
     return x
 
 
-def solve_yd_c(u: CompressedUmatch, c: SparseVector) -> Union[SparseVector, NoSolution]:
+def solve_yd_c(u: CompressedUmatch, c: SparseVector) -> Union[SparseVector, Sentinel]:
     """Solve y D = c; the returned solution maximizes min supp(y) over all
     solutions.  Returns NO_SOLUTION when c is outside the row space."""
-    f = u.field
     if c.entries and c.entries[-1][0] >= u.d.ncols:
         raise UsageError("right-hand side longer than the domain")
-    r = _Retriever(u)
-    pos = u.kappa_pos
-    c_kappa = SparseVector(f, tuple((pos[j], v) for j, v in c.entries if j in pos), _checked=True)
-    t = r.solve_a_right(c_kappa)
-    y_rho = r.rbar_vecmat(t)
-    y = SparseVector(f, tuple(sorted((u.rho[q], v) for q, v in y_rho.entries)), _checked=True)
+    t = _Retriever(u).solve_a_right(u.restrict(c, u.kappa_pos))
+    y = u.lift(vecmat(t, u.rbar), u.rho)
     if vecmat(y, u.d) != c:
         return NO_SOLUTION
     return y
@@ -171,7 +161,20 @@ class SubspaceBasis:
         return [retrieve(u, RetrievalTarget(self.factor, "col", g)) for g in self.generators]
 
 
-def _eval_space(u: CompressedUmatch, space) -> tuple[str, frozenset[int]]:
+def eval_lattice(space, leaf) -> tuple[str, frozenset[int]]:
+    """Evaluate a Meet/Join expression: leaf maps every other node to
+    (tag, generator set); meets intersect and joins unite generator sets,
+    whose tags must agree."""
+    if isinstance(space, (Meet, Join)):
+        tl, gl = eval_lattice(space.left, leaf)
+        tr, gr = eval_lattice(space.right, leaf)
+        if tl != tr:
+            raise UsageError("cannot mix domain and codomain subspaces")
+        return (tl, gl & gr if isinstance(space, Meet) else gl | gr)
+    return leaf(space)
+
+
+def _space_leaf(u: CompressedUmatch, space) -> tuple[str, frozenset[int]]:
     m = u.matching
     if isinstance(space, DomainStep):
         if not 0 <= space.p <= u.d.ncols:
@@ -191,18 +194,6 @@ def _eval_space(u: CompressedUmatch, space) -> tuple[str, frozenset[int]]:
         if not 0 <= space.p <= u.d.ncols:
             raise UsageError("filtration step out of range")
         return ("R", frozenset(r for r, c, _ in m.pairs if c < space.p))
-    if isinstance(space, Meet):
-        fl, gl = _eval_space(u, space.left)
-        fr, gr = _eval_space(u, space.right)
-        if fl != fr:
-            raise UsageError("cannot mix domain and codomain subspaces")
-        return (fl, gl & gr)
-    if isinstance(space, Join):
-        fl, gl = _eval_space(u, space.left)
-        fr, gr = _eval_space(u, space.right)
-        if fl != fr:
-            raise UsageError("cannot mix domain and codomain subspaces")
-        return (fl, gl | gr)
     raise UsageError(f"unrecognized subspace expression {space!r}")
 
 
@@ -212,7 +203,7 @@ def subspace_basis(u: CompressedUmatch, space) -> SubspaceBasis:
     from the columns of C (domain side) or R (codomain side) by the sparsity
     pattern of the matching array, and meets/joins are taken generator-wise.
     """
-    factor, gens = _eval_space(u, space)
+    factor, gens = eval_lattice(space, lambda leaf: _space_leaf(u, leaf))
     ambient = u.d.ncols if factor == "C" else u.d.nrows
     return SubspaceBasis(factor, tuple(sorted(gens)), ambient)
 
@@ -273,81 +264,36 @@ class _RowEchelonOracle(MatrixOracle):
         self.nrows = u.d.nrows
         self.ncols = u.d.ncols
 
-    def _pivot_row(self, q: int) -> SparseVector:
-        u = self.u
-        f = self.field
-        r = _Retriever(u)
-        # row rho_q carries the pivot of column col(rho_q); normalize so that
-        # leading entries match M and the pivot block is a permutation
-        c = u.matching.col_of_row[u.rho[q]]
-        p = u.kappa_pos[c]
-        x = r.solve_a_right(SparseVector.unit(f, p, u.m_diag[p]))
-        z = r.rbar_vecmat(x)
-        return SparseVector.from_dict(f, r.d_rows_combination(z))
-
     def row(self, i: int) -> SparseVector:
         self._check_row(i)
-        q = self.u.rho_pos.get(i)
+        u = self.u
+        q = u.rho_pos.get(i)
         if q is None:
             return SparseVector.zero(self.field)
-        return self._pivot_row(q)
+        # row rho_q carries the pivot of column kappa_p, p = pi_inv[q];
+        # normalize so that leading entries match M and the pivot block is
+        # a permutation
+        p = u.pi_inv[q]
+        x = _Retriever(u).solve_a_right(SparseVector.unit(self.field, p, u.m_diag[p]))
+        return vecmat(u.lift(vecmat(x, u.rbar), u.rho), u.d)
 
     def col(self, j: int) -> SparseVector:
         self._check_col(j)
         u = self.u
         f = self.field
-        r = _Retriever(u)
-        w = r.rbar_matvec(u.d_col_rho(j))
-        x = triangular_solve(PivotBlockProduct(u), w, side="left", row_perm=u.pi)
-        ent = []
-        for p, v in x.entries:
-            ent.append((u.rho[u.pi[p]], f.mul(v, u.m_diag[p])))
-        return SparseVector(f, tuple(sorted(ent)), _checked=True)
-
-
-class _ColEchelonOracle(MatrixOracle):
-    """Lazy column echelon form: pivot columns are rescaled reduced columns,
-    columns at unmatched indices are zero."""
-
-    def __init__(self, u: CompressedUmatch):
-        self.u = u
-        self.field = u.field
-        self.nrows = u.d.nrows
-        self.ncols = u.d.ncols
-
-    def col(self, j: int) -> SparseVector:
-        self._check_col(j)
-        u = self.u
-        f = self.field
-        p = u.kappa_pos.get(j)
-        if p is None:
-            return SparseVector.zero(f)
-        r = _Retriever(u)
-        x = r.solve_a_left(SparseVector.unit(f, u.pi[p], u.m_diag[p]))
-        return SparseVector.from_dict(f, r.d_cols_combination(x))
-
-    def row(self, i: int) -> SparseVector:
-        self._check_row(i)
-        u = self.u
-        f = self.field
-        r = _Retriever(u)
-        t = r.solve_a_right(u.d_row_kappa(i))
-        z = r.rbar_vecmat(t)
-        pi_inv = {q: p for p, q in enumerate(u.pi)}
-        ent = []
-        for q, v in z.entries:
-            p = pi_inv[q]
-            ent.append((u.kappa[p], f.mul(v, u.m_diag[p])))
-        return SparseVector(f, tuple(sorted(ent)), _checked=True)
+        x = _Retriever(u).solve_a_left(matvec(u.rbar, u.d_col_rho(j)))
+        ent = sorted((u.rho[u.pi[p]], f.mul(v, u.m_diag[p])) for p, v in x.entries)
+        return SparseVector(f, tuple(ent), _checked=True)
 
 
 def to_echelon(u: CompressedUmatch, orientation: str = "row") -> MatrixOracle:
     """Reduced echelon oracle (row or column orientation), exact up to row/
-    column permutation and leading-entry scaling."""
+    column permutation and leading-entry scaling.  The column form is the
+    reduced matrix R @ M."""
     if orientation == "row":
         return _RowEchelonOracle(u)
     if orientation == "column":
-        return _ColEchelonOracle(u)
+        return _ReducedProductOracle(u)
     raise UsageError(f"orientation must be 'row' or 'column', got {orientation!r}")
 
 
@@ -451,13 +397,7 @@ def rdv_to_umatch(rdv: RdvDecomposition) -> FullUmatch:
             if j == i:
                 keep = (c, val)
                 continue
-            lam = f.div(val, pivot_val[c])
-            for jj, vv in rinv_rows[j].items():
-                nv = f.sub(ops.get(jj, 0), f.mul(lam, vv))
-                if nv:
-                    ops[jj] = nv
-                elif jj in ops:
-                    del ops[jj]
+            _accumulate(ops, -f.div(val, pivot_val[c]), rinv_rows[j].items(), f.p)
         rinv_rows[i] = ops
         if keep is not None:
             pairs.append((i, keep[0], keep[1]))
@@ -503,15 +443,8 @@ def _invert_unitriangular(v: MatrixOracle) -> StoredCsMatrix:
 
 
 def _dense_product(a: MatrixOracle, b: MatrixOracle) -> StoredCsMatrix:
-    f = a.field
-    rows: dict[int, dict[int, int]] = {}
-    for i in range(a.nrows):
-        acc: dict[int, int] = {}
-        for kk, v in a.row(i).entries:
-            for j, w in b.row(kk).entries:
-                acc[j] = f.add(acc.get(j, 0), f.mul(v, w))
-        rows[i] = {j: v for j, v in acc.items() if v}
-    return StoredCsMatrix.from_row_dicts(f, a.nrows, b.ncols, rows)
+    return StoredCsMatrix.from_rows(a.field, a.nrows, b.ncols,
+                                    [vecmat(a.row(i), b) for i in range(a.nrows)])
 
 
 def umatch_to_rdv_full(fu: FullUmatch) -> RdvDecomposition:

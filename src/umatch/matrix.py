@@ -57,8 +57,7 @@ class SparseVector:
     def from_pairs(cls, field: Field, pairs: Iterable[tuple[int, int]]) -> "SparseVector":
         """Build from possibly unsorted / duplicated pairs, combining mod p."""
         acc: dict[int, int] = {}
-        for i, v in pairs:
-            acc[i] = field.add(acc.get(i, 0), field.normalize(v))
+        _accumulate(acc, 1, tuple(pairs), field.p)
         return cls.from_dict(field, acc)
 
     def get(self, i: int) -> int:
@@ -466,29 +465,43 @@ def submatrix_view(d: MatrixOracle, rows: Sequence[int], cols: Sequence[int]) ->
     return _SubmatrixView(d, rows, cols)
 
 
+def _accumulate(acc: dict[int, int], alpha: int, entries, p: int) -> int:
+    """acc += alpha * entries (mod p) in place, deleting keys that cancel;
+    returns the number of entries touched.  The package's only scatter loop."""
+    for i, v in entries:
+        s = (acc.get(i, 0) + alpha * v) % p
+        if s:
+            acc[i] = s
+        else:
+            acc.pop(i, None)
+    return len(entries)
+
+
+def _gather(line, v: SparseVector) -> tuple[SparseVector, int]:
+    """The sum of v[k] * line(k) over the support of v, and the number of
+    entries accumulated.  The package's only gather loop, behind matvec
+    (line = d.col) and vecmat (line = d.row)."""
+    f = v.field
+    acc: dict[int, int] = {}
+    touched = 0
+    for k, a in v.entries:
+        touched += _accumulate(acc, a, line(k).entries, f.p)
+    return SparseVector(f, tuple(sorted(acc.items())), _checked=True), touched
+
+
 def matvec(d: MatrixOracle, v: SparseVector) -> SparseVector:
     """d @ v as a sparse combination of columns of d."""
-    f = d.field
-    if v.field != f:
+    if v.field != d.field:
         raise UsageError("vector field does not match matrix field")
     if v.entries and v.entries[-1][0] >= d.ncols:
         raise UsageError("vector index exceeds matrix column count")
-    acc: dict[int, int] = {}
-    for j, a in v.entries:
-        for i, w in d.col(j).entries:
-            acc[i] = f.add(acc.get(i, 0), f.mul(a, w))
-    return SparseVector.from_dict(f, acc)
+    return _gather(d.col, v)[0]
 
 
 def vecmat(v: SparseVector, d: MatrixOracle) -> SparseVector:
     """v @ d as a sparse combination of rows of d."""
-    f = d.field
-    if v.field != f:
+    if v.field != d.field:
         raise UsageError("vector field does not match matrix field")
     if v.entries and v.entries[-1][0] >= d.nrows:
         raise UsageError("vector index exceeds matrix row count")
-    acc: dict[int, int] = {}
-    for i, a in v.entries:
-        for j, w in d.row(i).entries:
-            acc[j] = f.add(acc.get(j, 0), f.mul(a, w))
-    return SparseVector.from_dict(f, acc)
+    return _gather(d.row, v)[0]

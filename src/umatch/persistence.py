@@ -23,50 +23,16 @@ from .decompose import (
     decompose_compressed,
 )
 from .errors import UsageError
-from .linalg import NO_SOLUTION, solve_dx_b
+from .linalg import NO_SOLUTION, Join, Meet, Sentinel, eval_lattice, solve_dx_b
 from .matrix import SparseVector, axpy, matvec, scale
 from .retrieve import RetrievalTarget, retrieve
 from .sparsify import early_stop_solve
 
 
-class NeverBounds:
-    """Typed outcome: the chain is never a boundary at any filtration step."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NeverBounds"
-
-    def __bool__(self):
-        return False
-
-
-NEVER_BOUNDS = NeverBounds()
-
-
-class Never:
-    """Typed outcome: the two chains never become homologous."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Never"
-
-    def __bool__(self):
-        return False
-
-
-NEVER = Never()
+#: the chain is never a boundary at any filtration step
+NEVER_BOUNDS = Sentinel("NeverBounds")
+#: the two chains never become homologous
+NEVER = Sentinel("Never")
 
 
 @dataclass(frozen=True)
@@ -149,16 +115,8 @@ class ImageOfFiltered:
     p: float
 
 
-@dataclass(frozen=True)
-class SaecularMeet:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class SaecularJoin:
-    left: object
-    right: object
+SaecularMeet = Meet
+SaecularJoin = Join
 
 
 @dataclass(frozen=True)
@@ -347,7 +305,7 @@ class PersistenceEngine:
 
     # -- saecular lattice -------------------------------------------------
 
-    def _eval_saecular(self, space) -> frozenset[int]:
+    def _saecular_leaf(self, space) -> tuple[str, frozenset[int]]:
         if isinstance(space, CyclesBorn):
             n = space.n
             here = self.matching(n)
@@ -358,29 +316,26 @@ class PersistenceEngine:
                 g = self.global_index(n, k)
                 if g < space.p:
                     out.append(g)
-            return frozenset(out)
+            return ("J", frozenset(out))
         if isinstance(space, BoundariesBorn):
             n = space.n
             up = self.matching(n + 1)
             out = [self.global_index(n, r) for r in up.col_of_row
                    if self.global_index(n, r) < space.p]
-            return frozenset(out)
+            return ("J", frozenset(out))
         if isinstance(space, ImageOfFiltered):
             n = space.n
             up = self.matching(n + 1)
             out = [self.global_index(n, r) for r, c in up.col_of_row.items()
                    if self.global_index(n + 1, c) < space.p]
-            return frozenset(out)
-        if isinstance(space, SaecularMeet):
-            return self._eval_saecular(space.left) & self._eval_saecular(space.right)
-        if isinstance(space, SaecularJoin):
-            return self._eval_saecular(space.left) | self._eval_saecular(space.right)
+            return ("J", frozenset(out))
         raise UsageError(f"unrecognized saecular expression {space!r}")
 
     def saecular_select(self, space) -> JordanBasisSelection:
         """Jordan columns spanning the requested saecular-lattice element,
         selected from the sparsity pattern of the matchings."""
-        return JordanBasisSelection(tuple(sorted(self._eval_saecular(space))))
+        _, gens = eval_lattice(space, self._saecular_leaf)
+        return JordanBasisSelection(tuple(sorted(gens)))
 
     # -- inverse problems --------------------------------------------------
 
@@ -399,7 +354,7 @@ class PersistenceEngine:
             return -math.inf
         return self.order(x.dim).births[pos]
 
-    def bounding_chain(self, x: Chain) -> Union[BoundingResult, NeverBounds]:
+    def bounding_chain(self, x: Chain) -> Union[BoundingResult, Sentinel]:
         """Earliest filtration step at which x becomes a boundary, with an
         explicit witness; the minimal-support solve makes the witness earliest."""
         self._require_cycle(x)
@@ -419,7 +374,7 @@ class PersistenceEngine:
             Chain(n + 1, y),
         )
 
-    def time_of_homology(self, x: Chain, f: Chain) -> Union[float, Never]:
+    def time_of_homology(self, x: Chain, f: Chain) -> Union[float, Sentinel]:
         """Earliest filtration value at which x and f are homologous cycles."""
         if x.dim != f.dim:
             raise UsageError("chains must have equal dimension")

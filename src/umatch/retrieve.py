@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .decompose import CompressedUmatch, OpCounter
 from .errors import InternalInconsistencyError, UsageError
-from .matrix import MatrixOracle, SparseVector, scale
+from .matrix import MatrixOracle, SparseVector, _accumulate, _gather, add_vec, scale
 
 _TARGET_KINDS = ("R", "Rinv", "C", "Cinv")
 _AXES = ("row", "col")
@@ -50,33 +50,51 @@ class PivotBlockProduct(MatrixOracle):
     def row(self, q: int) -> SparseVector:
         self._check_row(q)
         u = self.u
-        f = self.field
-        acc: dict[int, int] = {}
-        ops = 0
-        kpos = u.kappa_pos
-        for jq, w in u.rbar.row(q).entries:
-            for j, v in u.d.row(u.rho[jq]).entries:
-                ops += 1
-                p = kpos.get(j)
-                if p is not None:
-                    acc[p] = f.add(acc.get(p, 0), f.mul(w, v))
-        if self.counter is not None:
-            self.counter.axpy_entries += ops
-        return SparseVector.from_dict(f, acc)
+        full = _product(u.d.row, u.lift(u.rbar.row(q), u.rho), self.counter)
+        return u.restrict(full, u.kappa_pos)
 
     def col(self, p: int) -> SparseVector:
         self._check_col(p)
         u = self.u
-        f = self.field
-        acc: dict[int, int] = {}
-        ops = 0
-        for iq, v in u.d_col_rho(u.kappa[p]).entries:
-            for q, w in u.rbar.col(iq).entries:
-                ops += 1
-                acc[q] = f.add(acc.get(q, 0), f.mul(w, v))
-        if self.counter is not None:
-            self.counter.axpy_entries += ops
-        return SparseVector.from_dict(f, acc)
+        return _product(u.rbar.col, u.d_col_rho(u.kappa[p]), self.counter)
+
+
+def _product(line, v: SparseVector, counter: OpCounter | None) -> SparseVector:
+    """matvec (line = d.col) or vecmat (line = d.row), counting the entries
+    accumulated."""
+    out, touched = _gather(line, v)
+    if counter is not None:
+        counter.axpy_entries += touched
+    return out
+
+
+def _substitute(t: MatrixOracle, resid: dict[int, int], side: str, row_perm):
+    """Back-substitution steps for t @ x = resid (left) or y @ t = resid
+    (right), updating resid in place.  Yields (index, coefficient, entries
+    touched) for every coefficient it determines, so callers may stop early.
+    """
+    f = t.field
+    k = t.ncols
+    if side == "left":
+        # column p removes the residual at its pivot row, last column first
+        line, steps = t.col, zip(reversed(row_perm), range(k - 1, -1, -1))
+    elif side == "right":
+        # row row_perm[p] removes the residual at column p, first column first
+        line, steps = t.row, zip(range(k), row_perm)
+    else:
+        raise UsageError(f"side must be 'left' or 'right', got {side!r}")
+    for key, idx in steps:
+        rv = resid.get(key)
+        if not rv:
+            continue
+        vec = line(idx)
+        diag = vec.get(key)
+        if not diag:
+            raise InternalInconsistencyError(f"zero pivot at {side} step {idx}")
+        xv = f.div(rv, diag)
+        yield idx, xv, _accumulate(resid, -xv, vec.entries, f.p)
+        if not resid:
+            return
 
 
 def triangular_solve(t: MatrixOracle, b: SparseVector, side: str = "left",
@@ -92,63 +110,33 @@ def triangular_solve(t: MatrixOracle, b: SparseVector, side: str = "left",
         raise UsageError("right-hand side lies in a different field")
     if t.nrows != t.ncols:
         raise UsageError("triangular solve requires a square matrix")
-    k = t.ncols
     if row_perm is None:
-        row_perm = range(k)
+        row_perm = range(t.ncols)
     if counter is not None:
         counter.solves += 1
-    touched = 0
     resid = b.to_dict()
     out: dict[int, int] = {}
-    if side == "left":
-        for p in range(k - 1, -1, -1):
-            pr = row_perm[p]
-            rv = resid.get(pr)
-            if not rv:
-                continue
-            column = t.col(p)
-            diag = column.get(pr)
-            if not diag:
-                raise InternalInconsistencyError(f"zero pivot in column {p}")
-            xv = f.div(rv, diag)
-            out[p] = xv
-            touched += len(column.entries)
-            for i, v in column.entries:
-                nv = f.sub(resid.get(i, 0), f.mul(xv, v))
-                if nv:
-                    resid[i] = nv
-                elif i in resid:
-                    del resid[i]
-    elif side == "right":
-        for p in range(k):
-            pr = row_perm[p]
-            rv = resid.get(p)
-            if not rv:
-                continue
-            rowvec = t.row(pr)
-            diag = rowvec.get(p)
-            if not diag:
-                raise InternalInconsistencyError(f"zero pivot in row {pr}")
-            yv = f.div(rv, diag)
-            out[pr] = yv
-            touched += len(rowvec.entries)
-            for j, v in rowvec.entries:
-                nv = f.sub(resid.get(j, 0), f.mul(yv, v))
-                if nv:
-                    resid[j] = nv
-                elif j in resid:
-                    del resid[j]
-    else:
-        raise UsageError(f"side must be 'left' or 'right', got {side!r}")
+    touched = 0
+    for idx, xv, n in _substitute(t, resid, side, row_perm):
+        out[idx] = xv
+        touched += n
     if resid:
         raise InternalInconsistencyError("triangular solve left a nonzero residual")
     if counter is not None:
         counter.axpy_entries += touched
-    return SparseVector.from_dict(f, out)
+    return SparseVector(f, tuple(sorted(out.items())), _checked=True)
 
 
-def _scatter(pairs, index_map) -> list[tuple[int, int]]:
-    return sorted((index_map[p], v) for p, v in pairs)
+def _plus_unit(v: SparseVector, i: int) -> SparseVector:
+    """v + e_i for an index i outside the support of v."""
+    return SparseVector(v.field, tuple(sorted(v.entries + ((i, 1),))), _checked=True)
+
+
+def _outside(v: SparseVector, pos: dict[int, int]) -> SparseVector:
+    """-v restricted to the indices not in pos."""
+    f = v.field
+    return SparseVector(f, tuple((i, f.neg(a)) for i, a in v.entries if i not in pos),
+                        _checked=True)
 
 
 class _Retriever:
@@ -160,7 +148,7 @@ class _Retriever:
         self.counter = OpCounter()
         self.a = PivotBlockProduct(u, counter=self.counter)
 
-    # -- solves against A and D_rho_kappa ------------------------------
+    # -- solves against A ---------------------------------------------
 
     def solve_a_left(self, b: SparseVector) -> SparseVector:
         """x with A x = b (b in pivot-row positions, x in pivot-col positions)."""
@@ -172,68 +160,16 @@ class _Retriever:
         return triangular_solve(self.a, c, side="right", row_perm=self.u.pi,
                                 counter=self.counter)
 
-    def rbar_matvec(self, v: SparseVector) -> SparseVector:
-        f = self.f
-        ops = 0
-        acc: dict[int, int] = {}
-        for q, a in v.entries:
-            for i, w in self.u.rbar.col(q).entries:
-                ops += 1
-                acc[i] = f.add(acc.get(i, 0), f.mul(a, w))
-        self.counter.axpy_entries += ops
-        return SparseVector.from_dict(f, acc)
-
-    def rbar_vecmat(self, v: SparseVector) -> SparseVector:
-        f = self.f
-        ops = 0
-        acc: dict[int, int] = {}
-        for q, a in v.entries:
-            for j, w in self.u.rbar.row(q).entries:
-                ops += 1
-                acc[j] = f.add(acc.get(j, 0), f.mul(a, w))
-        self.counter.axpy_entries += ops
-        return SparseVector.from_dict(f, acc)
-
-    def d_rows_combination(self, coeffs: SparseVector) -> dict[int, int]:
-        """sum over pivot positions q of coeffs[q] * row_{rho_q}(D), full width."""
-        f = self.f
-        ops = 0
-        acc: dict[int, int] = {}
-        for q, a in coeffs.entries:
-            for j, v in self.u.d.row(self.u.rho[q]).entries:
-                ops += 1
-                acc[j] = f.add(acc.get(j, 0), f.mul(a, v))
-        self.counter.axpy_entries += ops
-        return {j: v for j, v in acc.items() if v}
-
-    def d_cols_combination(self, coeffs: SparseVector) -> dict[int, int]:
-        """sum over pivot positions p of coeffs[p] * col_{kappa_p}(D), full height."""
-        f = self.f
-        ops = 0
-        acc: dict[int, int] = {}
-        for p, a in coeffs.entries:
-            for i, v in self.u.d.col(self.u.kappa[p]).entries:
-                ops += 1
-                acc[i] = f.add(acc.get(i, 0), f.mul(a, v))
-        self.counter.axpy_entries += ops
-        return {i: v for i, v in acc.items() if v}
-
     # -- rows ----------------------------------------------------------
 
     def row_rinv(self, i: int) -> SparseVector:
-        u, f = self.u, self.f
+        u = self.u
         q = u.rho_pos.get(i)
         if q is not None:
             # pivot row: permute/pad the stored pivot-block row, zero solves
-            ent = _scatter(u.rbar.row(q).entries, u.rho)
-            return SparseVector(f, tuple(ent), _checked=True)
-        b = SparseVector(f, tuple((p, f.neg(v)) for p, v in u.d_row_kappa(i).entries), _checked=True)
-        z = self.solve_a_right(b)
-        y = self.rbar_vecmat(z)
-        ent = _scatter(y.entries, u.rho)
-        ent.append((i, 1))
-        ent.sort()
-        return SparseVector(f, tuple(ent), _checked=True)
+            return u.lift(u.rbar.row(q), u.rho)
+        z = self.solve_a_right(scale(-1, u.d_row_kappa(i)))
+        return _plus_unit(u.lift(_product(u.rbar.row, z, self.counter), u.rho), i)
 
     def row_r(self, i: int) -> SparseVector:
         u, f = self.u, self.f
@@ -241,13 +177,8 @@ class _Retriever:
         if q is not None:
             x = triangular_solve(u.rbar, SparseVector.unit(f, q), side="right",
                                  counter=self.counter)
-            ent = _scatter(x.entries, u.rho)
-            return SparseVector(f, tuple(ent), _checked=True)
-        x = self.solve_a_right(u.d_row_kappa(i))
-        ent = _scatter(x.entries, u.rho)
-        ent.append((i, 1))
-        ent.sort()
-        return SparseVector(f, tuple(ent), _checked=True)
+            return u.lift(x, u.rho)
+        return _plus_unit(u.lift(self.solve_a_right(u.d_row_kappa(i)), u.rho), i)
 
     def row_cinv(self, j: int) -> SparseVector:
         u, f = self.u, self.f
@@ -256,11 +187,8 @@ class _Retriever:
             return SparseVector.unit(f, j)
         # (C^-1)_{kappa,*} = M_rk^-1 (R_rr)^-1 D_{rho,*}: scale one pivot-block
         # row and stream it through the rows of D; zero solves
-        q = u.pi[p]
-        s = f.inv(u.m_diag[p])
-        coeffs = scale(s, u.rbar.row(q))
-        acc = self.d_rows_combination(coeffs)
-        return SparseVector.from_dict(f, acc)
+        coeffs = scale(f.inv(u.m_diag[p]), u.rbar.row(u.pi[p]))
+        return _product(u.d.row, u.lift(coeffs, u.rho), self.counter)
 
     def row_c(self, j: int) -> SparseVector:
         u, f = self.u, self.f
@@ -269,80 +197,50 @@ class _Retriever:
             return SparseVector.unit(f, j)
         x = self.solve_a_right(SparseVector.unit(f, p))
         # kappa block: x * M_rho_kappa; kappa_bar block: -(x * rbar) * D_{rho, kappa_bar}
-        ent = []
-        inv_pi = {q: pp for pp, q in enumerate(u.pi)}
-        for q, v in x.entries:
-            pp = inv_pi[q]
-            ent.append((u.kappa[pp], f.mul(v, u.m_diag[pp])))
-        z = self.rbar_vecmat(x)
-        full = self.d_rows_combination(z)
-        kset = u.kappa_pos
-        for jj, v in full.items():
-            if jj not in kset:
-                ent.append((jj, f.neg(v)))
-        ent = [(jj, v) for jj, v in sorted(ent) if v]
-        return SparseVector(f, tuple(ent), _checked=True)
+        pi_inv = u.pi_inv
+        kappa_part = sorted((u.kappa[pi_inv[q]], f.mul(v, u.m_diag[pi_inv[q]]))
+                            for q, v in x.entries)
+        z = _product(u.rbar.row, x, self.counter)
+        full = _product(u.d.row, u.lift(z, u.rho), self.counter)
+        return add_vec(SparseVector(f, tuple(kappa_part), _checked=True),
+                       _outside(full, u.kappa_pos))
 
     # -- columns -------------------------------------------------------
 
     def col_rinv(self, i: int) -> SparseVector:
-        u, f = self.u, self.f
+        u = self.u
         q = u.rho_pos.get(i)
         if q is None:
-            return SparseVector.unit(f, i)
+            return SparseVector.unit(self.f, i)
         w = u.rbar.col(q)
-        x = self.solve_a_left(w)
-        full = self.d_cols_combination(x)
-        ent = []
-        rset = u.rho_pos
-        for ii, v in full.items():
-            if ii not in rset:
-                ent.append((ii, f.neg(v)))
-        ent.extend(_scatter(w.entries, u.rho))
-        ent = [(ii, v) for ii, v in sorted(ent) if v]
-        return SparseVector(f, tuple(ent), _checked=True)
+        full = _product(u.d.col, u.lift(self.solve_a_left(w), u.kappa), self.counter)
+        return add_vec(u.lift(w, u.rho), _outside(full, u.rho_pos))
 
     def col_r(self, i: int) -> SparseVector:
-        u, f = self.u, self.f
+        u = self.u
         q = u.rho_pos.get(i)
         if q is None:
-            return SparseVector.unit(f, i)
-        x = self.solve_a_left(SparseVector.unit(f, q))
-        return SparseVector.from_dict(f, self.d_cols_combination(x))
+            return SparseVector.unit(self.f, i)
+        x = self.solve_a_left(SparseVector.unit(self.f, q))
+        return _product(u.d.col, u.lift(x, u.kappa), self.counter)
 
     def col_cinv(self, j: int) -> SparseVector:
         u, f = self.u, self.f
-        w = self.rbar_matvec(u.d_col_rho(j))
-        ent = []
-        for q, v in w.entries:
-            # position p with pi[p] == q carries 1 / m_diag[p]
-            p = self._pi_inv(q)
-            ent.append((u.kappa[p], f.div(v, u.m_diag[p])))
-        if j not in u.kappa_pos:
-            ent.append((j, 1))
-        ent = sorted(ent)
-        return SparseVector(f, tuple(ent), _checked=True)
+        w = _product(u.rbar.col, u.d_col_rho(j), self.counter)
+        # position p with pi[p] == q carries 1 / m_diag[p]
+        pi_inv = u.pi_inv
+        out = SparseVector(f, tuple(sorted((u.kappa[pi_inv[q]], f.div(v, u.m_diag[pi_inv[q]]))
+                                           for q, v in w.entries)), _checked=True)
+        return out if j in u.kappa_pos else _plus_unit(out, j)
 
     def col_c(self, j: int) -> SparseVector:
         u, f = self.u, self.f
         p = u.kappa_pos.get(j)
         if p is not None:
-            b = SparseVector.unit(f, u.pi[p], u.m_diag[p])
-            x = self.solve_a_left(b)
-            ent = _scatter(x.entries, u.kappa)
-            return SparseVector(f, tuple(ent), _checked=True)
-        w = self.rbar_matvec(u.d_col_rho(j))
-        b = SparseVector(f, tuple((q, f.neg(v)) for q, v in w.entries), _checked=True)
-        x = self.solve_a_left(b)
-        ent = _scatter(x.entries, u.kappa)
-        ent.append((j, 1))
-        ent.sort()
-        return SparseVector(f, tuple(ent), _checked=True)
-
-    def _pi_inv(self, q: int) -> int:
-        if not hasattr(self, "_pi_inv_map"):
-            self._pi_inv_map = {qq: p for p, qq in enumerate(self.u.pi)}
-        return self._pi_inv_map[q]
+            x = self.solve_a_left(SparseVector.unit(f, u.pi[p], u.m_diag[p]))
+            return u.lift(x, u.kappa)
+        w = _product(u.rbar.col, u.d_col_rho(j), self.counter)
+        return _plus_unit(u.lift(self.solve_a_left(scale(-1, w)), u.kappa), j)
 
     def run(self, t: RetrievalTarget) -> SparseVector:
         u = self.u

@@ -13,19 +13,14 @@ from __future__ import annotations
 
 from .decompose import CompressedUmatch
 from .errors import InternalInconsistencyError, UsageError
-from .matrix import SparseVector
-from .retrieve import PivotBlockProduct
+from .matrix import SparseVector, _accumulate, matvec
+from .retrieve import PivotBlockProduct, _substitute
 
 
 def _image_tail_vanishes(u: CompressedUmatch, v: SparseVector, r: int) -> bool:
     """(D v)[i] == 0 for all i > r."""
-    f = u.field
-    acc: dict[int, int] = {}
-    for j, a in v.entries:
-        for i, w in u.d.col(j).entries:
-            if i > r:
-                acc[i] = f.add(acc.get(i, 0), f.mul(a, w))
-    return not any(acc.values())
+    t = matvec(u.d, v).trailing()
+    return t is None or t[0] <= r
 
 
 def column_validity_check(u: CompressedUmatch, pivot_col: int, v: SparseVector) -> bool:
@@ -54,37 +49,17 @@ def early_stop_solve(u: CompressedUmatch, pivot_col: int) -> SparseVector:
     if p is None:
         raise UsageError(f"column {pivot_col} is not a pivot column")
     r = u.matching.row_of_col[pivot_col]
-    a = PivotBlockProduct(u)
-    # solve A x = m * e_{pi(p)} descending through pivot-column positions,
-    # testing validity after every newly determined coefficient
-    resid: dict[int, int] = {u.pi[p]: u.m_diag[p]}
+    # solve A x = m * e_{pi(p)} through pivot-column positions, descending,
+    # keeping the image tail (D x)[i > r] current after every coefficient
+    resid = {u.pi[p]: u.m_diag[p]}
     solution: dict[int, int] = {}
-    for q in range(p, -1, -1):
-        pr = u.pi[q]
-        rv = resid.get(pr)
-        if not rv:
-            continue
-        column = a.col(q)
-        diag = column.get(pr)
-        if not diag:
-            raise InternalInconsistencyError(f"zero pivot in column {q}")
-        xv = f.div(rv, diag)
+    tail: dict[int, int] = {}
+    for q, xv, _ in _substitute(PivotBlockProduct(u), resid, "left", u.pi):
         solution[q] = xv
-        for i, w in column.entries:
-            nv = f.sub(resid.get(i, 0), f.mul(xv, w))
-            if nv:
-                resid[i] = nv
-            elif i in resid:
-                del resid[i]
-        v = SparseVector.from_dict(
-            f, {u.kappa[qq]: vv for qq, vv in solution.items()}
-        )
-        if _image_tail_vanishes(u, v, r):
-            return v
-    v = SparseVector.from_dict(f, {u.kappa[qq]: vv for qq, vv in solution.items()})
-    if not column_validity_check(u, pivot_col, v):
-        raise InternalInconsistencyError("exact pivot column failed the validity check")
-    return v
+        _accumulate(tail, xv, [(i, w) for i, w in u.d.col(u.kappa[q]).entries if i > r], f.p)
+        if not tail:
+            return u.lift(SparseVector(f, tuple(sorted(solution.items())), _checked=True), u.kappa)
+    raise InternalInconsistencyError("exact pivot column failed the validity check")
 
 
 def delete_coefficients(u: CompressedUmatch, pivot_col: int, v: SparseVector) -> SparseVector:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from umatch import GF, UsageError, boundary_oracle, build_order
+from umatch import GF, PersistenceEngine, UsageError, boundary_oracle, build_order
 from umatch.complexes import (
     FilteredCliqueComplex,
     FilteredCubicalComplex,
@@ -194,6 +194,24 @@ def test_cubical_pareto_shortcut_disabled():
     assert all(d.pareto_leading(i) is None for i in range(d.nrows))
     with pytest.raises(UsageError):
         leading_entry_shortcut(img, 1, 0)
+
+
+def test_vertex_births_bound_edge_births():
+    # vertex 1 is born at 0.5, after its edges' weights 0.1 and 0.3
+    d = np.array([[0, .1, .2], [.1, .5, .3], [.2, .3, 0]])
+    cx = FilteredCliqueComplex(d, max_dim=2, threshold=1.0)
+    assert cx.order(1).births == [0.2, 0.5, 0.5]
+    assert cx.order(2).births == [0.5]
+    engine = PersistenceEngine(cx, GF(2))
+    for n in (0, 1):
+        for bar in engine.bars(n):
+            assert bar.birth_value <= bar.death_value
+    # a vertex dropped by the threshold takes its edges with it
+    cx = FilteredCliqueComplex(d, max_dim=2, threshold=0.4)
+    assert cx.order(0).cells == [(0,), (2,)]
+    assert cx.order(1).cells == [(0, 2)]
+    engine = PersistenceEngine(cx, GF(2))
+    assert [b.interval() for b in engine.bars(0)] == [(0.0, math.inf), (0.0, 0.2)]
 
 
 def test_torus_metric_wraps():

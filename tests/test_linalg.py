@@ -310,6 +310,9 @@ def test_to_echelon_column_form():
             dense = ech.to_dense()
             for i in range(d.nrows):
                 assert ech.row(i).to_dense(d.ncols) == dense[i]
+            # row and column access agree
+            for j in range(d.ncols):
+                assert cols[j] == [dense[i][j] for i in range(d.nrows)]
             # same column space as d
             dd = d.to_dense()
             dt = [[dd[i][j] for i in range(d.nrows)] for j in range(d.ncols)]

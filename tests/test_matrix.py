@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,14 +11,22 @@ from umatch import (
     UsageError,
     antitranspose_view,
     axpy,
+    boundary_oracle,
+    decompose_compressed,
     dot,
     matvec,
     scale,
     submatrix_view,
+    to_echelon,
     vecmat,
 )
+from umatch.complexes import FilteredCliqueComplex, FilteredCubicalComplex
+from umatch.linalg import umatch_to_rdv
+from umatch.matrix import _accumulate
+from umatch.retrieve import PivotBlockProduct
 
 from conftest import random_stored
+from oracles import mat_mul
 
 
 def test_sparse_vector_invariants_enforced():
@@ -160,3 +169,82 @@ def test_stored_matrix_from_triplets_accumulates():
     d = StoredCsMatrix.from_triplets(f, 2, 2, [(0, 0, 3), (0, 0, 4), (1, 1, 2)])
     assert d.to_dense() == [[0, 0], [0, 2]]
     assert d.nnz == 1
+
+
+@given(st.sampled_from([2, 3, 7]), st.data())
+def test_accumulate_kernels_match_dense(p, data):
+    f = GF(p)
+    m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    coeff = st.integers(0, p - 1)
+    dense = data.draw(st.lists(st.lists(coeff, min_size=n, max_size=n), min_size=m, max_size=m))
+    # a negated copy of the first column and of the first row, weighted
+    # equally by the vectors below, makes terms cancel to zero
+    dense = [r + [-r[0] % p] for r in dense]
+    dense.append([-v % p for v in dense[0]])
+    d = StoredCsMatrix.from_dense(f, dense)
+    xs = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    ys = data.draw(st.lists(coeff, min_size=m, max_size=m))
+    xs.append(xs[0])
+    ys.append(ys[0])
+    x = SparseVector.from_pairs(f, [(j, v) for j, v in enumerate(xs) if v])
+    y = SparseVector.from_pairs(f, [(i, v) for i, v in enumerate(ys) if v])
+    assert matvec(d, x).to_dense(m + 1) == [r[0] for r in mat_mul(dense, [[v] for v in xs], p)]
+    assert vecmat(y, d).to_dense(n + 1) == mat_mul([ys], dense, p)[0]
+
+    # the in-place primitive: acc += alpha * entries, cancelled keys deleted,
+    # returning the number of entries passed in
+    alpha = data.draw(coeff)
+    acc = dict(y.entries)
+    entries = SparseVector.from_pairs(f, [(i, v) for i, v in enumerate(dense[0]) if v]).entries
+    assert _accumulate(acc, alpha, entries, p) == len(entries)
+    width = max(m + 1, n + 1)
+    want = [(a + alpha * b) % p for a, b in zip(y.to_dense(width), SparseVector(f, entries).to_dense(width))]
+    assert acc == {i: v for i, v in enumerate(want) if v}
+    acc = dict(entries)
+    assert _accumulate(acc, p - 1, entries, p) == len(entries)
+    assert acc == {}
+
+
+def _clique(rnd, f):
+    pts = np.array([[rnd.random(), rnd.random()] for _ in range(6)])
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    return boundary_oracle(FilteredCliqueComplex(dist, 2, threshold=0.7), rnd.choice([1, 2]), f)
+
+
+def _cubical(rnd, f):
+    pixels = np.array([[rnd.randrange(5) for _ in range(3)] for _ in range(3)], dtype=float)
+    return boundary_oracle(FilteredCubicalComplex(pixels), rnd.choice([1, 2]), f)
+
+
+def _decomposed(view):
+    def build(rnd, f):
+        d = random_stored(rnd, f.p, 7, 6)
+        return view(d, decompose_compressed(d))
+    return build
+
+
+ORACLES = {
+    "stored": _decomposed(lambda d, u: d),
+    "antitranspose": _decomposed(lambda d, u: antitranspose_view(d)),
+    "submatrix": _decomposed(lambda d, u: submatrix_view(d, [5, 0, 3, 2], [1, 4, 0])),
+    "pivot_block": _decomposed(lambda d, u: PivotBlockProduct(u)),
+    "row_echelon": _decomposed(lambda d, u: to_echelon(u, "row")),
+    "column_echelon": _decomposed(lambda d, u: to_echelon(u, "column")),
+    "reduced_product": _decomposed(lambda d, u: umatch_to_rdv(u).reduced),
+    "rdv_c": _decomposed(lambda d, u: umatch_to_rdv(u).v),
+    "clique_boundary": _clique,
+    "cubical_boundary": _cubical,
+}
+
+
+@pytest.mark.parametrize("p", [2, 7])
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+def test_oracle_rows_agree_with_columns(kind, p):
+    # the MatrixOracle contract: row(i)[j] == col(j)[i]
+    rnd = random.Random(f"{kind}/{p}")
+    f = GF(p)
+    for _ in range(6):
+        a = ORACLES[kind](rnd, f)
+        rows = [a.row(i).to_dense(a.ncols) for i in range(a.nrows)]
+        cols = [a.col(j).to_dense(a.nrows) for j in range(a.ncols)]
+        assert rows == [[cols[j][i] for j in range(a.ncols)] for i in range(a.nrows)]
