@@ -46,7 +46,10 @@ from .sparsify import column_validity_check, early_stop_solve
 def _open_output(path: Optional[str]):
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+    try:
+        return open(path, "w", encoding="utf-8"), True
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _add_common_complex_flags(sp: argparse.ArgumentParser) -> None:
@@ -275,24 +278,24 @@ def _bench_one_seed(args, field, seed: int, trace_memory: bool) -> list[dict]:
     matching = full.matching
     lower_dim_bars = len(engine.bars(bench_dim - 1))
     rows = []
+    opts = DecomposeOptions(clearing=not args.no_clearing,
+                            pareto=not args.no_pareto, counters=True)
     for variant in BENCH_VARIANTS:
-        if trace_memory:
-            tracemalloc.start()
         # wrapper construction counts toward the timing, so every variant is
         # charged the same matrix-and-matching setup cost
         t0 = time.perf_counter()
         mat = _make_variant(variant, d, matching)
-        opts = DecomposeOptions(clearing=not args.no_clearing,
-                                pareto=not args.no_pareto, counters=True)
         u = decompose_compressed(mat, opts)
         elapsed = time.perf_counter() - t0
+        peak, heap_source = "", "untraced-parallel"
         if trace_memory:
+            # tracemalloc slows the code it watches, so the peak comes from a
+            # second, untimed run of the same variant
+            tracemalloc.start()
+            decompose_compressed(_make_variant(variant, d, matching), opts)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             heap_source = "tracemalloc-peak"
-        else:
-            peak = ""
-            heap_source = "untraced-parallel"
         rows.append({
             "dataset": f"{args.dataset}-{seed}",
             "variant": variant,

@@ -14,18 +14,31 @@ from dataclasses import dataclass
 from .errors import DivisionByZeroError, FieldMismatchError, UsageError
 
 
+# the first 12 primes: as Miller-Rabin bases they decide every n < 3.3e24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MAX_MODULUS = 2 ** 64
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -35,6 +48,8 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= _MAX_MODULUS:
+            raise UsageError(f"field modulus must be below 2**64, got {p}")
         if not isinstance(p, int) or not _is_prime(p):
             raise UsageError(f"field modulus must be a prime integer, got {p!r}")
         self.p = p

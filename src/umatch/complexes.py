@@ -9,7 +9,9 @@ The matrices themselves are never materialized.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from itertools import combinations
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,6 +19,10 @@ import numpy as np
 from .coeff import Field
 from .errors import UsageError
 from .matrix import MatrixOracle, SparseVector
+
+
+# sort key of (birth, cell) and of (position, coefficient) pairs
+_first = itemgetter(0)
 
 
 class FiltrationOrder:
@@ -33,6 +39,18 @@ class FiltrationOrder:
         return len(self.cells)
 
 
+class _Filtered:
+    """Per-dimension filtration orders, kept in `_orders`."""
+
+    def order(self, dim: int) -> FiltrationOrder:
+        if dim not in self._orders:
+            return FiltrationOrder(dim, [], [])
+        return self._orders[dim]
+
+    def n_cells(self, dim: int) -> int:
+        return len(self.order(dim))
+
+
 def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
@@ -45,10 +63,14 @@ def simplex_rank(simplex: Sequence[int]) -> int:
     return sum(binomial(v, k + 1) for k, v in enumerate(simplex))
 
 
-class FilteredCliqueComplex:
+class FilteredCliqueComplex(_Filtered):
     """Vietoris-Rips complex of a dissimilarity matrix: a vertex is born at
     its diagonal entry, and a larger simplex at the largest vertex birth or
-    pairwise dissimilarity of its vertices."""
+    pairwise dissimilarity of its vertices.
+
+    Cliques are enumerated through neighbour sets: a (d+1)-clique grows from
+    a d-clique by a common neighbour larger than its last vertex, and the
+    cofaces of a cell are its splices with its common neighbours."""
 
     kind = "clique"
 
@@ -66,95 +88,98 @@ class FilteredCliqueComplex:
         # at the maximum of its vertex births and edge weights
         diag = np.diag(d)
         self.d = np.maximum(d, np.maximum.outer(diag, diag))
-        self.n_points = d.shape[0]
+        self.n_points = n = d.shape[0]
         self.max_dim = max_dim
-        self.threshold = float(threshold)
+        self.threshold = t = float(threshold)
+        # Python floats, the upper triangle mirrored: the pair {a, b} reads
+        # d[min, max] from either side
+        self._w = w = np.where(np.tri(n, dtype=bool).T, self.d, self.d.T).tolist()
+        self._nbrs = [frozenset(v for v in range(n) if v != u and w[u][v] <= t) for u in range(n)]
         self._orders: dict[int, FiltrationOrder] = {}
         self._build()
 
-    def _simplex_birth(self, simplex: tuple[int, ...]) -> float:
-        if len(simplex) == 1:
-            return float(self.d[simplex[0], simplex[0]])
-        return max(float(self.d[a, b]) for a, b in combinations(simplex, 2))
+    def _common(self, cell: tuple[int, ...]) -> frozenset:
+        """Vertices adjacent to every vertex of the cell."""
+        return frozenset.intersection(*map(self._nbrs.__getitem__, cell))
 
     def _build(self) -> None:
-        n = self.n_points
-        # edges admitted under the threshold, as adjacency sets
-        adj = [set() for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                if self.d[a, b] <= self.threshold:
-                    adj[a].add(b)
-                    adj[b].add(a)
+        w = self._w
+        lex = [(w[v][v], (v,)) for v in range(self.n_points) if w[v][v] <= self.threshold]
         for dim in range(self.max_dim + 1):
-            cells = []
-            if dim == 0:
-                for v in range(n):
-                    b = float(self.d[v, v])
-                    if b <= self.threshold:
-                        cells.append((b, (v,)))
-            else:
-                for simplex in combinations(range(n), dim + 1):
-                    ok = all(simplex[j] in adj[simplex[i]]
-                             for i in range(dim + 1) for j in range(i + 1, dim + 1))
-                    if not ok:
-                        continue
-                    b = self._simplex_birth(simplex)
-                    if b <= self.threshold:
-                        cells.append((b, simplex))
-            cells.sort()
-            self._orders[dim] = FiltrationOrder(
-                dim, [c for _, c in cells], [b for b, _ in cells]
-            )
-
-    def order(self, dim: int) -> FiltrationOrder:
-        if dim not in self._orders:
-            return FiltrationOrder(dim, [], [])
-        return self._orders[dim]
-
-    def n_cells(self, dim: int) -> int:
-        return len(self.order(dim))
+            # the cells come in lexicographic order, so a stable sort by
+            # birth puts them in (birth, cell) order
+            level = sorted(lex, key=_first)
+            self._orders[dim] = FiltrationOrder(dim, [c for _, c in level], [b for b, _ in level])
+            if dim == self.max_dim:
+                break
+            # grow each clique by its common neighbours above its last vertex,
+            # ascending; every pair of a clique is within the threshold
+            grown = []
+            for b, cell in lex:
+                rows = [w[u] for u in cell]
+                vs = sorted(self._common(cell))
+                for v in vs[bisect_right(vs, cell[-1]):]:
+                    birth = b
+                    for r in rows:
+                        if r[v] > birth:
+                            birth = r[v]
+                    grown.append((birth, cell + (v,)))
+            lex = grown
 
     def faces(self, cell: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
         """(face, sign) pairs: omitting the k-th vertex carries (-1)^k."""
-        out = []
-        for k in range(len(cell)):
-            face = cell[:k] + cell[k + 1:]
-            out.append((face, -1 if k % 2 else 1))
-        return out
+        return [(cell[:k] + cell[k + 1:], -1 if k % 2 else 1) for k in range(len(cell))]
+
+    def _runs(self, cell: tuple[int, ...], minus: int = -1):
+        """The sorted common neighbours of the cell, cut into the runs that
+        go in at one slot k: (cell[:k], cell[k:], 1 or `minus` for odd k, run)."""
+        vs = sorted(self._common(cell))
+        lo = 0
+        for k in range(len(cell) + 1):
+            hi = bisect_left(vs, cell[k], lo) if k < len(cell) else len(vs)
+            yield cell[:k], cell[k:], minus if k & 1 else 1, vs[lo:hi]
+            lo = hi
 
     def cofaces(self, cell: tuple[int, ...], dim: int) -> list[tuple[tuple[int, ...], int]]:
-        """(coface, sign) pairs among admitted (dim+1)-cells."""
-        order_up = self.order(dim + 1)
-        out = []
-        vs = set(cell)
-        for v in range(self.n_points):
-            if v in vs:
-                continue
-            coface = tuple(sorted(cell + (v,)))
-            if coface in order_up.pos:
-                k = coface.index(v)
-                out.append((coface, -1 if k % 2 else 1))
-        return out
+        """(coface, sign) pairs among admitted (dim+1)-cells, ascending by the
+        added vertex; inserting it at slot k carries (-1)^k."""
+        if dim >= self.max_dim:
+            return []
+        return [(head + (v,) + tail, s) for head, tail, s, run in self._runs(cell) for v in run]
 
-    def coface_candidates(self, cell: tuple[int, ...], dim: int):
-        """Yield (birth, coface, sign) without consulting the stored order;
-        used by the leading-entry shortcut."""
-        vs = set(cell)
-        base = self._simplex_birth(cell)
-        for v in range(self.n_points):
-            if v in vs:
-                continue
-            extra = max(float(self.d[v, u]) for u in cell)
-            b = max(base, extra)
-            if b > self.threshold:
-                continue
-            coface = tuple(sorted(cell + (v,)))
-            k = coface.index(v)
-            yield (b, coface, -1 if k % 2 else 1)
+    def _coface_entries(self, cell: tuple[int, ...], pos: dict, minus: int) -> list[tuple[int, int]]:
+        """(pos[coface], sign mapped by `minus`) pairs, sorted."""
+        return sorted([(pos[head + (v,) + tail], c)
+                       for head, tail, c, run in self._runs(cell, minus) for v in run], key=_first)
+
+    def _apparent_pair(self, i: int, rows: FiltrationOrder, cols: FiltrationOrder, minus: int):
+        """(leading entry, None) when row i of the boundary from `cols` to
+        `rows` is the last facet of its leading coface, else (None, the row's
+        entries sorted by position); signs map to 1 or `minus`.
+
+        The leading coface is the minimum (birth, coface).  No coface is born
+        before the cell, and a smaller added vertex makes a smaller tuple: so
+        the first coface born with the cell, if any, leads, and a hit on it
+        is found without building the row."""
+        cell, birth, w = rows.cells[i], rows.births[i], self._w
+
+        def last_facet(coface: tuple[int, ...]) -> bool:
+            return all(rows.pos[coface[:k] + coface[k + 1:]] <= i for k in range(len(coface)))
+
+        v = next((v for v in sorted(self._common(cell))
+                  if max(map(w[v].__getitem__, cell)) <= birth), None)
+        if v is not None:
+            k = bisect_left(cell, v)
+            coface = cell[:k] + (v,) + cell[k:]
+            if last_facet(coface):
+                return (cols.pos[coface], minus if k & 1 else 1), None
+        row = self._coface_entries(cell, cols.pos, minus)
+        if v is None and row and last_facet(cols.cells[row[0][0]]):
+            return row[0], None
+        return None, row
 
 
-class FilteredCubicalComplex:
+class FilteredCubicalComplex(_Filtered):
     """Full cubical grid on a 2d or 3d pixel array; every cell is born at the
     maximum value of the pixels it spans."""
 
@@ -192,17 +217,7 @@ class FilteredCubicalComplex:
                     b = self._cell_birth(anchor, extent)
                     cells.append((b, (anchor, extent)))
             cells.sort(key=lambda t: (t[0], t[1][0], t[1][1]))
-            self._orders[dim] = FiltrationOrder(
-                dim, [c for _, c in cells], [b for b, _ in cells]
-            )
-
-    def order(self, dim: int) -> FiltrationOrder:
-        if dim not in self._orders:
-            return FiltrationOrder(dim, [], [])
-        return self._orders[dim]
-
-    def n_cells(self, dim: int) -> int:
-        return len(self.order(dim))
+            self._orders[dim] = FiltrationOrder(dim, [c for _, c in cells], [b for b, _ in cells])
 
     def faces(self, cell) -> list:
         """(face, sign): the j-th extent axis contributes (-1)^j times the
@@ -218,24 +233,17 @@ class FilteredCubicalComplex:
         return out
 
     def cofaces(self, cell, dim: int) -> list:
+        """(coface, sign): along each new axis the cell is the lower face of
+        the coface at its anchor and the upper face of the one a step below."""
         anchor, extent = cell
-        order_up = self.order(dim + 1)
+        pos_up = self.order(dim + 1).pos
         out = []
-        for ax in range(self.ndim):
-            if ax in extent:
-                continue
+        for ax in (ax for ax in range(self.ndim) if ax not in extent):
             new_extent = tuple(sorted(extent + (ax,)))
-            j = new_extent.index(ax)
-            sign = -1 if j % 2 else 1
-            # the cell can be the upper or the lower face along this axis
-            cand = (anchor, new_extent)
-            if cand in order_up.pos:
-                out.append((cand, -sign))
-            lowered = tuple(anchor[i] - (1 if i == ax else 0) for i in range(self.ndim))
-            if lowered[ax] >= 0:
-                cand = (lowered, new_extent)
-                if cand in order_up.pos:
-                    out.append((cand, sign))
+            sign = -1 if new_extent.index(ax) % 2 else 1
+            lowered = tuple(a - (i == ax) for i, a in enumerate(anchor))
+            out += [(c, s) for c, s in (((anchor, new_extent), -sign), ((lowered, new_extent), sign))
+                    if c in pos_up]
         return out
 
 
@@ -248,7 +256,10 @@ def build_order(complex_, dims) -> dict[int, FiltrationOrder]:
 class BoundaryOracle(MatrixOracle):
     """Boundary operator of one dimension, rows indexed by (n-1)-cells and
     columns by n-cells, both in filtration order.  Signs are mapped into the
-    coefficient field, so all coefficients are 1 when p = 2."""
+    coefficient field, so all coefficients are 1 when p = 2.
+
+    The faces, and the cofaces, of a cell are distinct, so a column or a row
+    is its (position, coefficient) pairs sorted by position."""
 
     def __init__(self, complex_, n: int, field: Field):
         if n < 1 or n > complex_.max_dim:
@@ -261,35 +272,42 @@ class BoundaryOracle(MatrixOracle):
         self.nrows = len(self.rows_order)
         self.ncols = len(self.cols_order)
         self.pareto_enabled = complex_.kind == "clique"
+        self._minus = field.normalize(-1)
+        # the row built by a pareto_leading miss, handed to the row() call
+        # that follows it, so that the cofaces are enumerated once
+        self._missed: tuple[int, Optional[SparseVector]] = (-1, None)
+
+    def _vector(self, entries: list[tuple[int, int]]) -> SparseVector:
+        return SparseVector(self.field, entries, _checked=True)
 
     def col(self, j: int) -> SparseVector:
         self._check_col(j)
-        f = self.field
-        cell = self.cols_order.cells[j]
-        acc: dict[int, int] = {}
-        for face, sign in self.complex.faces(cell):
-            i = self.rows_order.pos[face]
-            acc[i] = f.add(acc.get(i, 0), f.normalize(sign))
-        return SparseVector.from_dict(f, acc)
+        faces = self.complex.faces(self.cols_order.cells[j])
+        return self._vector(_signed(faces, self.rows_order.pos, self._minus))
 
     def row(self, i: int) -> SparseVector:
         self._check_row(i)
-        f = self.field
-        cell = self.rows_order.cells[i]
-        acc: dict[int, int] = {}
-        for coface, sign in self.complex.cofaces(cell, self.n - 1):
-            j = self.cols_order.pos[coface]
-            acc[j] = f.add(acc.get(j, 0), f.normalize(sign))
-        return SparseVector.from_dict(f, acc)
+        missed_i, missed = self._missed
+        if missed_i == i:
+            return missed
+        cx, cell, pos, minus = self.complex, self.rows_order.cells[i], self.cols_order.pos, self._minus
+        if cx.kind == "clique":
+            return self._vector(cx._coface_entries(cell, pos, minus))
+        return self._vector(_signed(cx.cofaces(cell, self.n - 1), pos, minus))
 
     def pareto_leading(self, i: int) -> Optional[tuple[int, int]]:
         if self.complex.kind != "clique":
             return None
-        hit = leading_entry_shortcut(self.complex, self.n, i, self.rows_order, self.cols_order)
+        self._check_row(i)
+        hit, row = self.complex._apparent_pair(i, self.rows_order, self.cols_order, self._minus)
         if hit is None:
-            return None
-        j, sign = hit
-        return (j, self.field.normalize(sign))
+            self._missed = (i, self._vector(row))
+        return hit
+
+
+def _signed(cells, pos: dict, minus: int) -> list[tuple[int, int]]:
+    """(pos[cell], 1 or `minus`) pairs of distinct signed cells, sorted."""
+    return sorted([(pos[c], 1 if s > 0 else minus) for c, s in cells], key=_first)
 
 
 def boundary_oracle(complex_, n: int, field: Field) -> BoundaryOracle:
@@ -299,29 +317,14 @@ def boundary_oracle(complex_, n: int, field: Field) -> BoundaryOracle:
 def leading_entry_shortcut(complex_, n: int, i: int,
                            rows_order: Optional[FiltrationOrder] = None,
                            cols_order: Optional[FiltrationOrder] = None) -> Optional[tuple[int, int]]:
-    """(column, sign) when the minimum-order coface j of row i satisfies the
-    short-circuit condition (no later row meets column j), found without
-    enumerating the full row; None otherwise.  Clique complexes only."""
+    """(column, sign) when row i and its leading coface j form an apparent
+    pair (no later row meets column j), None otherwise; a miss builds the
+    row in the same pass.  Clique complexes only."""
     if complex_.kind != "clique":
         raise UsageError("leading-entry shortcut applies to clique complexes only")
-    if rows_order is None:
-        rows_order = complex_.order(n - 1)
-    if cols_order is None:
-        cols_order = complex_.order(n)
-    cell = rows_order.cells[i]
-    best = None
-    for b, coface, sign in complex_.coface_candidates(cell, n - 1):
-        key = (b, coface)
-        if best is None or key < best[0]:
-            best = (key, coface, sign)
-    if best is None:
-        return None
-    coface, sign = best[1], best[2]
-    # the pair short-circuits iff this row is the last facet of the coface
-    last_face = max(complex_.faces(coface), key=lambda fs: rows_order.pos[fs[0]])
-    if last_face[0] != cell:
-        return None
-    return (cols_order.pos[coface], sign)
+    rows_order = rows_order or complex_.order(n - 1)
+    cols_order = cols_order or complex_.order(n)
+    return complex_._apparent_pair(i, rows_order, cols_order, -1)[0]
 
 
 def torus_metric(points: np.ndarray) -> np.ndarray:
@@ -351,10 +354,7 @@ def euclidean_metric(points: np.ndarray) -> np.ndarray:
 
 def clique_from_points(points: np.ndarray, max_dim: int, threshold: float,
                        metric: str = "euclidean") -> FilteredCliqueComplex:
-    if metric == "euclidean":
-        d = euclidean_metric(points)
-    elif metric == "torus":
-        d = torus_metric(points)
-    else:
+    metrics = {"euclidean": euclidean_metric, "torus": torus_metric}
+    if metric not in metrics:
         raise UsageError(f"unknown metric {metric!r}")
-    return FilteredCliqueComplex(d, max_dim, threshold)
+    return FilteredCliqueComplex(metrics[metric](points), max_dim, threshold)

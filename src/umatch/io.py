@@ -14,6 +14,15 @@ from .errors import UsageError
 from .matrix import MatrixOracle, StoredCsMatrix
 
 
+def _read_file(path: str, reader):
+    """reader(lines of the file); a file that cannot be read is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return reader(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def read_triplet_text(lines: Iterable[str]) -> StoredCsMatrix:
     """Triplet text: header line `rows cols modulus`, then `i j v` (1-based)."""
     it = iter(enumerate(lines, start=1))
@@ -53,8 +62,7 @@ def read_triplet_text(lines: Iterable[str]) -> StoredCsMatrix:
 
 
 def load_triplet_file(path: str) -> StoredCsMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_triplet_text(fh)
+    return _read_file(path, read_triplet_text)
 
 
 def write_triplet_text(out: TextIO, mat: MatrixOracle) -> None:
@@ -91,8 +99,7 @@ def read_points_csv(lines: Iterable[str]) -> np.ndarray:
 
 
 def load_points_csv(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_points_csv(fh)
+    return _read_file(path, read_points_csv)
 
 
 def read_distance_csv(lines: Iterable[str]) -> np.ndarray:
@@ -132,8 +139,7 @@ def read_distance_csv(lines: Iterable[str]) -> np.ndarray:
 
 
 def load_distance_csv(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_distance_csv(fh)
+    return _read_file(path, read_distance_csv)
 
 
 def read_image_text(lines: Iterable[str]) -> np.ndarray:
@@ -169,8 +175,7 @@ def read_image_text(lines: Iterable[str]) -> np.ndarray:
 
 
 def load_image_text(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_image_text(fh)
+    return _read_file(path, read_image_text)
 
 
 def cell_id(engine, dim: int, pos: int):

@@ -222,6 +222,23 @@ def faces_signed(complex_, cell):
     return cube_faces_signed(cell)
 
 
+def clique_reference(dissimilarity, max_dim: int, threshold: float):
+    """Every filtered clique of a dissimilarity matrix, by brute force over
+    vertex subsets: {dim: [(birth, cell)] sorted}.  A subset is admitted
+    when every vertex and every pair is within the threshold, and born at the
+    largest of its diagonal and pairwise entries."""
+    d = [[float(x) for x in row] for row in dissimilarity]
+    out = {}
+    for dim in range(max_dim + 1):
+        cells = []
+        for cell in itertools.combinations(range(len(d)), dim + 1):
+            birth = max(d[a][b] for a, b in itertools.combinations_with_replacement(cell, 2))
+            if birth <= threshold:
+                cells.append((birth, cell))
+        out[dim] = sorted(cells)
+    return out
+
+
 def dense_boundary(complex_, n: int, p: int, value_cutoff=None):
     """Dense boundary matrix of dimension n, rows/cols in filtration order,
     optionally restricted to cells born at or before value_cutoff."""

@@ -40,6 +40,30 @@ def test_decompose_parse_failure_reports_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_missing_distance_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no" / "such.csv"
+    assert main(["barcode", str(missing), "--input-type", "distances"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_missing_triplet_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no" / "such.txt"
+    assert main(["decompose", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    d = tmp_path / "dist.csv"
+    d.write_text("0 1\n1 0\n")
+    out = tmp_path / "no" / "such" / "x.json"
+    assert main(["barcode", str(d), "--input-type", "distances", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.exists()
+
+
 def test_barcode_command(tmp_path):
     pts = write_circle_points(tmp_path / "pts.csv")
     out = tmp_path / "bars.json"

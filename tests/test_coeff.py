@@ -1,8 +1,11 @@
+import math
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from umatch import GF, DivisionByZeroError, FieldMismatchError, UsageError
-from umatch.coeff import add, inv, mul, neg
+from umatch.coeff import Field, _is_prime, add, inv, mul, neg
 
 PRIMES = [2, 3, 7, 101]
 
@@ -38,6 +41,34 @@ def test_nonprime_modulus_rejected():
     for bad in (0, 1, 4, 6, 9, 100):
         with pytest.raises(UsageError):
             GF(bad)
+
+
+def test_large_prime_modulus_is_fast():
+    # Field itself, not the cached GF, so that the primality test runs
+    t0 = time.perf_counter()
+    f = Field(2**61 - 1)
+    assert time.perf_counter() - t0 < 0.5
+    assert GF(2**61 - 1) == f
+    assert f.mul(f.inv(12345), 12345) == 1
+
+
+def test_pseudoprimes_and_huge_moduli_rejected():
+    # a Carmichael number, the least strong pseudoprime to bases 2, 3, 5 and 7,
+    # and a multiple of 3 next to a Mersenne prime
+    for bad in (561, 3215031751, 2**61 + 1):
+        with pytest.raises(UsageError):
+            GF(bad)
+    # 2**64 + 13 is prime, but the modulus is bounded
+    for big in (2**64, 2**64 + 13, 2**89 - 1):
+        with pytest.raises(UsageError):
+            GF(big)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    assert all(_is_prime(n) == trial_division(n) for n in range(10**5))
 
 
 def test_gf2_specialization_behaves_like_xor():

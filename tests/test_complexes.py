@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umatch import GF, PersistenceEngine, UsageError, boundary_oracle, build_order
 from umatch.complexes import (
@@ -16,7 +17,7 @@ from umatch.complexes import (
 from umatch.datasets import circle_complex, er_complex
 from umatch.decompose import pareto_pairs
 
-from oracles import mat_mul
+from oracles import clique_reference, dense_boundary, mat_mul
 
 
 def equilateral3():
@@ -220,3 +221,49 @@ def test_torus_metric_wraps():
     assert abs(d[0, 1] - 0.1) < 1e-12
     euclid = np.linalg.norm(pts[0] - pts[1])
     assert d[0, 1] < euclid
+
+
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def clique_inputs(draw):
+    """A symmetric matrix on a small grid of values (so births tie), with
+    some nonzero diagonal entries, a threshold that may cut it, a top
+    dimension up to 3 and a field."""
+    n = draw(st.integers(1, 7))
+    d = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            d[a, b] = d[b, a] = draw(st.sampled_from(GRID))
+        d[a, a] = draw(st.sampled_from((0.0, 0.0, 0.25, 0.5)))
+    threshold = draw(st.sampled_from(GRID))
+    return d, draw(st.integers(0, 3)), threshold, draw(st.sampled_from([2, 3, 7]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(clique_inputs())
+def test_clique_oracle_matches_brute_force(case):
+    d, max_dim, threshold, p = case
+    cx = FilteredCliqueComplex(d, max_dim, threshold)
+    ref = clique_reference(d, max_dim, threshold)
+    for dim in range(max_dim + 1):
+        assert cx.order(dim).cells == [c for _, c in ref[dim]]
+        assert cx.order(dim).births == [b for b, _ in ref[dim]]
+    f = GF(p)
+    for n in range(1, max_dim + 1):
+        dense = dense_boundary(cx, n, p)
+        oracle = boundary_oracle(cx, n, f)
+        for j in range(oracle.ncols):
+            assert oracle.col(j).to_dense(oracle.nrows) == [row[j] for row in dense]
+        hits = set()
+        for i in range(oracle.nrows):
+            hit = leading_entry_shortcut(cx, n, i)
+            if hit is not None:
+                hits.add((i, hit[0]))
+                assert hit[1] % p == dense[i][hit[0]]
+            assert oracle.row(i).to_dense(oracle.ncols) == dense[i]
+            assert oracle.pareto_leading(i) == (None if hit is None else (hit[0], hit[1] % p))
+            # a miss hands the row it built to the row() call that follows
+            assert oracle.row(i).to_dense(oracle.ncols) == dense[i]
+        assert hits == set(pareto_pairs(oracle))
