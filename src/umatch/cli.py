@@ -5,10 +5,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from typing import Optional
 
 from .coeff import GF
@@ -43,13 +45,25 @@ from .retrieve import RetrievalTarget, retrieve
 from .sparsify import column_validity_check, early_stop_solve
 
 
-def _open_output(path: Optional[str]):
+@contextmanager
+def _output(path: Optional[str]):
+    """The output stream, stdout for None or "-".  Commands open it before
+    they compute, so that an unwritable path fails at once."""
     if path is None or path == "-":
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8"), True
+        out = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with out:
+        try:
+            yield out
+        except BaseException:
+            # a command that fails leaves no partial output behind
+            out.close()
+            os.unlink(path)
+            raise
 
 
 def _add_common_complex_flags(sp: argparse.ArgumentParser) -> None:
@@ -95,56 +109,48 @@ def _build_engine(cx, args) -> PersistenceEngine:
 
 
 def cmd_decompose(args) -> int:
-    d = load_triplet_file(args.input)
-    opts = DecomposeOptions(clearing=not args.no_clearing, pareto=not args.no_pareto)
-    u = decompose_compressed(d, opts)
-    summary = {
-        "rows": d.nrows,
-        "cols": d.ncols,
-        "field": d.field.p,
-        "rank": u.rank,
-        "nnz_d": d.nnz,
-        "nnz_matching": u.rank,
-        "nnz_rbar_offdiag": u.rbar.nnz_offdiag(),
-    }
-    if args.verify:
-        full = decompose_full(d)
-        r = _invert_unitriangular(full.rinv)
-        c = _invert_unitriangular(full.cinv)
-        rm = _dense_product(r, u.matching.to_oracle(d.field)).to_dense()
-        dc = _dense_product(d, c).to_dense()
-        summary["verified"] = rm == dc and full.matching == u.matching
-        if not summary["verified"]:
-            raise UmatchError("verification failed: defining identity violated")
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
+        d = load_triplet_file(args.input)
+        opts = DecomposeOptions(clearing=not args.no_clearing, pareto=not args.no_pareto)
+        u = decompose_compressed(d, opts)
+        summary = {
+            "rows": d.nrows,
+            "cols": d.ncols,
+            "field": d.field.p,
+            "rank": u.rank,
+            "nnz_d": d.nnz,
+            "nnz_matching": u.rank,
+            "nnz_rbar_offdiag": u.rbar.nnz_offdiag(),
+        }
+        if args.verify:
+            full = decompose_full(d)
+            r = _invert_unitriangular(full.rinv)
+            c = _invert_unitriangular(full.cinv)
+            rm = _dense_product(r, u.matching.to_oracle(d.field)).to_dense()
+            dc = _dense_product(d, c).to_dense()
+            summary["verified"] = rm == dc and full.matching == u.matching
+            if not summary["verified"]:
+                raise UmatchError("verification failed: defining identity violated")
         if args.factors:
             write_triplet_text(out, u.matching.to_oracle(d.field))
             out.write("\n")
             write_triplet_text(out, u.rbar)
             out.write("\n")
         dump_json(summary, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def cmd_barcode(args) -> int:
-    cx = _load_complex(args)
-    engine = _build_engine(cx, args)
-    dims = list(range(engine.max_dim))
-    if not dims:
-        dims = [0]
-    payload = barcode_json(engine, dims)
-    if args.verify:
-        payload["verified"] = _verify_barcode(engine, dims)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
+        cx = _load_complex(args)
+        engine = _build_engine(cx, args)
+        dims = list(range(engine.max_dim))
+        if not dims:
+            dims = [0]
+        payload = barcode_json(engine, dims)
+        if args.verify:
+            payload["verified"] = _verify_barcode(engine, dims)
         dump_json(payload, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -159,26 +165,22 @@ def _verify_barcode(engine, dims) -> bool:
 
 
 def cmd_generators(args) -> int:
-    cx = _load_complex(args)
-    engine = _build_engine(cx, args)
-    dims = [args.dim] if args.dim is not None else list(range(engine.max_dim))
-    strategy = "early_stop" if args.generators_strategy == "early-stop" else "exact"
-    bars = []
-    for n in dims:
-        for bar in engine.bars(n):
-            chain = engine.cycle_representative(bar, strategy=strategy)
-            if args.verify and strategy == "early_stop" and bar.finite:
-                u = engine.umatch(n + 1)
-                col = engine.matching(n + 1).col_of_row[bar.birth_pos]
-                if not column_validity_check(u, col, early_stop_solve(u, col)):
-                    raise UmatchError("early-stop column failed the validity check")
-            bars.append(bar_json(engine, bar, chain))
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
+        cx = _load_complex(args)
+        engine = _build_engine(cx, args)
+        dims = [args.dim] if args.dim is not None else list(range(engine.max_dim))
+        strategy = "early_stop" if args.generators_strategy == "early-stop" else "exact"
+        bars = []
+        for n in dims:
+            for bar in engine.bars(n):
+                chain = engine.cycle_representative(bar, strategy=strategy)
+                if args.verify and strategy == "early_stop" and bar.finite:
+                    u = engine.umatch(n + 1)
+                    col = engine.matching(n + 1).col_of_row[bar.birth_pos]
+                    if not column_validity_check(u, col, early_stop_solve(u, col)):
+                        raise UmatchError("early-stop column failed the validity check")
+                bars.append(bar_json(engine, bar, chain))
         dump_json({"field": engine.field.p, "bars": bars}, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -202,6 +204,12 @@ def _parse_chain(engine, text: str) -> Chain:
 
 
 def cmd_query(args) -> int:
+    with _output(args.output) as out:
+        dump_json(_query_result(args), out)
+    return 0
+
+
+def _query_result(args) -> dict:
     cx = _load_complex(args)
     engine = _build_engine(cx, args)
     result: dict = {"query": args.subquery}
@@ -239,13 +247,7 @@ def cmd_query(args) -> int:
         result["entries"] = [[i, v] for i, v in vec.entries]
     else:
         raise UsageError(f"unknown subquery {args.subquery!r}")
-    out, close = _open_output(args.output)
-    try:
-        dump_json(result, out)
-    finally:
-        if close:
-            out.close()
-    return 0
+    return result
 
 
 def _make_variant(name, d, matching):
@@ -319,23 +321,19 @@ def _bench_one_seed(args, field, seed: int, trace_memory: bool) -> list[dict]:
 def cmd_bench(args) -> int:
     field = GF(args.field)
     seeds = list(range(args.seed, args.seed + args.trials))
-    if args.parallel and len(seeds) > 1:
-        with ThreadPoolExecutor() as pool:
-            chunks = list(pool.map(
-                lambda s: _bench_one_seed(args, field, s, trace_memory=False), seeds
-            ))
-    else:
-        chunks = [_bench_one_seed(args, field, s, trace_memory=True) for s in seeds]
-    rows = [r for chunk in chunks for r in chunk]
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
+        if args.parallel and len(seeds) > 1:
+            with ThreadPoolExecutor() as pool:
+                chunks = list(pool.map(
+                    lambda s: _bench_one_seed(args, field, s, trace_memory=False), seeds
+                ))
+        else:
+            chunks = [_bench_one_seed(args, field, s, trace_memory=True) for s in seeds]
+        rows = [r for chunk in chunks for r in chunk]
         if rows:
             writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
-    finally:
-        if close:
-            out.close()
     return 0
 
 

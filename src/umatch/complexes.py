@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from itertools import combinations
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -27,16 +28,46 @@ _first = itemgetter(0)
 
 class FiltrationOrder:
     """Linear order of the cells of one dimension: cell keys, birth values,
-    and the key -> position map."""
+    and the key -> position map.  A clique order stores its positions once,
+    keyed by simplex rank (`by_rank`), and `pos` reads them through
+    `simplex_rank`."""
 
-    def __init__(self, dim: int, cells: list, births: list[float]):
+    def __init__(self, dim: int, cells: list, births: list[float], ranks: Optional[list[int]] = None):
         self.dim = dim
         self.cells = cells
         self.births = births
-        self.pos = {c: i for i, c in enumerate(cells)}
+        if ranks is None:
+            self.pos = {c: i for i, c in enumerate(cells)}
+        else:
+            self.by_rank = dict(zip(ranks, range(len(ranks))))
+            self.pos = _RankPositions(cells, self.by_rank)
 
     def __len__(self) -> int:
         return len(self.cells)
+
+
+class _RankPositions(Mapping):
+    """Read-only vertex tuple -> position map of a clique order."""
+
+    def __init__(self, cells: list, by_rank: dict[int, int]):
+        self._cells = cells
+        self._by_rank = by_rank
+
+    def __getitem__(self, cell) -> int:
+        try:
+            i = self._by_rank.get(simplex_rank(cell))
+        except TypeError:  # not a tuple of integers
+            i = None
+        # a rank names a cell only among the cells of this dimension
+        if i is None or self._cells[i] != cell:
+            raise KeyError(cell)
+        return i
+
+    def __iter__(self):
+        return iter(self._cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
 
 
 class _Filtered:
@@ -70,7 +101,9 @@ class FilteredCliqueComplex(_Filtered):
 
     Cliques are enumerated through neighbour sets: a (d+1)-clique grows from
     a d-clique by a common neighbour larger than its last vertex, and the
-    cofaces of a cell are its splices with its common neighbours."""
+    cofaces of a cell are its splices with its common neighbours.  Positions
+    are keyed by simplex rank, and the ranks of cofaces and faces are summed
+    from a binomial table, so no vertex tuple is built per entry."""
 
     kind = "clique"
 
@@ -95,6 +128,8 @@ class FilteredCliqueComplex(_Filtered):
         # d[min, max] from either side
         self._w = w = np.where(np.tri(n, dtype=bool).T, self.d, self.d.T).tolist()
         self._nbrs = [frozenset(v for v in range(n) if v != u and w[u][v] <= t) for u in range(n)]
+        # _binom[k][v] = C(v, k), for the simplex ranks of up to max_dim + 1 vertices
+        self._binom = [[math.comb(v, k) for v in range(n)] for k in range(max_dim + 2)]
         self._orders: dict[int, FiltrationOrder] = {}
         self._build()
 
@@ -104,40 +139,59 @@ class FilteredCliqueComplex(_Filtered):
 
     def _build(self) -> None:
         w = self._w
-        lex = [(w[v][v], (v,)) for v in range(self.n_points) if w[v][v] <= self.threshold]
+        # (birth, cell, simplex rank); the rank of (v,) is C(v, 1) = v
+        lex = [(w[v][v], (v,), v) for v in range(self.n_points) if w[v][v] <= self.threshold]
         for dim in range(self.max_dim + 1):
             # the cells come in lexicographic order, so a stable sort by
             # birth puts them in (birth, cell) order
             level = sorted(lex, key=_first)
-            self._orders[dim] = FiltrationOrder(dim, [c for _, c in level], [b for b, _ in level])
+            self._orders[dim] = FiltrationOrder(dim, [c for _, c, _ in level],
+                                                [b for b, _, _ in level], [r for _, _, r in level])
             if dim == self.max_dim:
                 break
             # grow each clique by its common neighbours above its last vertex,
-            # ascending; every pair of a clique is within the threshold
+            # ascending; every pair of a clique is within the threshold, and
+            # the rank of cell + (v,) is the cell's rank plus C(v, dim + 2)
             grown = []
-            for b, cell in lex:
+            top = self._binom[dim + 2]
+            for b, cell, r in lex:
                 rows = [w[u] for u in cell]
                 vs = sorted(self._common(cell))
                 for v in vs[bisect_right(vs, cell[-1]):]:
                     birth = b
-                    for r in rows:
-                        if r[v] > birth:
-                            birth = r[v]
-                    grown.append((birth, cell + (v,)))
+                    for row in rows:
+                        if row[v] > birth:
+                            birth = row[v]
+                    grown.append((birth, cell + (v,), r + top[v]))
             lex = grown
 
     def faces(self, cell: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
         """(face, sign) pairs: omitting the k-th vertex carries (-1)^k."""
         return [(cell[:k] + cell[k + 1:], -1 if k % 2 else 1) for k in range(len(cell))]
 
+    def _face_entries(self, cell: tuple[int, ...], by_rank: dict, minus: int) -> list[tuple[int, int]]:
+        """(position of the face, sign mapped by `minus`) pairs, sorted.  The
+        face omitting vertex k keeps C(v, j+1) for the vertices j before it
+        and moves the vertices after it down to C(v, j)."""
+        b = self._binom
+        below, above = 0, sum([b[j][v] for j, v in enumerate(cell)])
+        out, s = [], 1
+        for k, v in enumerate(cell):
+            above -= b[k][v]
+            out.append((by_rank[below + above], s))
+            below += b[k + 1][v]
+            s = 1 if k & 1 else minus
+        out.sort(key=_first)
+        return out
+
     def _runs(self, cell: tuple[int, ...], minus: int = -1):
         """The sorted common neighbours of the cell, cut into the runs that
-        go in at one slot k: (cell[:k], cell[k:], 1 or `minus` for odd k, run)."""
+        go in at one slot k: (k, 1 or `minus` for odd k, run)."""
         vs = sorted(self._common(cell))
         lo = 0
         for k in range(len(cell) + 1):
             hi = bisect_left(vs, cell[k], lo) if k < len(cell) else len(vs)
-            yield cell[:k], cell[k:], minus if k & 1 else 1, vs[lo:hi]
+            yield k, minus if k & 1 else 1, vs[lo:hi]
             lo = hi
 
     def cofaces(self, cell: tuple[int, ...], dim: int) -> list[tuple[tuple[int, ...], int]]:
@@ -145,12 +199,16 @@ class FilteredCliqueComplex(_Filtered):
         added vertex; inserting it at slot k carries (-1)^k."""
         if dim >= self.max_dim:
             return []
-        return [(head + (v,) + tail, s) for head, tail, s, run in self._runs(cell) for v in run]
+        return [(cell[:k] + (v,) + cell[k:], s) for k, s, run in self._runs(cell) for v in run]
 
-    def _coface_entries(self, cell: tuple[int, ...], pos: dict, minus: int) -> list[tuple[int, int]]:
-        """(pos[coface], sign mapped by `minus`) pairs, sorted."""
-        return sorted([(pos[head + (v,) + tail], c)
-                       for head, tail, c, run in self._runs(cell, minus) for v in run], key=_first)
+    def _coface_entries(self, cell: tuple[int, ...], by_rank: dict, minus: int) -> list[tuple[int, int]]:
+        """(position of the coface, sign mapped by `minus`) pairs, sorted.
+        The coface that puts v at slot k has rank base[k] + C(v, k+1), where
+        base[k] ranks the cell's vertices, those from slot k on moved up one."""
+        b = self._binom
+        base = [sum(b[j + 1 + (j >= k)][v] for j, v in enumerate(cell)) for k in range(len(cell) + 1)]
+        return sorted([(by_rank[base[k] + b[k + 1][v]], c)
+                       for k, c, run in self._runs(cell, minus) for v in run], key=_first)
 
     def _apparent_pair(self, i: int, rows: FiltrationOrder, cols: FiltrationOrder, minus: int):
         """(leading entry, None) when row i of the boundary from `cols` to
@@ -164,7 +222,7 @@ class FilteredCliqueComplex(_Filtered):
         cell, birth, w = rows.cells[i], rows.births[i], self._w
 
         def last_facet(coface: tuple[int, ...]) -> bool:
-            return all(rows.pos[coface[:k] + coface[k + 1:]] <= i for k in range(len(coface)))
+            return self._face_entries(coface, rows.by_rank, 1)[-1][0] <= i
 
         v = next((v for v in sorted(self._common(cell))
                   if max(map(w[v].__getitem__, cell)) <= birth), None)
@@ -172,8 +230,9 @@ class FilteredCliqueComplex(_Filtered):
             k = bisect_left(cell, v)
             coface = cell[:k] + (v,) + cell[k:]
             if last_facet(coface):
-                return (cols.pos[coface], minus if k & 1 else 1), None
-        row = self._coface_entries(cell, cols.pos, minus)
+                rank = sum(self._binom[j + 1][u] for j, u in enumerate(coface))
+                return (cols.by_rank[rank], minus if k & 1 else 1), None
+        row = self._coface_entries(cell, cols.by_rank, minus)
         if v is None and row and last_facet(cols.cells[row[0][0]]):
             return row[0], None
         return None, row
@@ -282,18 +341,20 @@ class BoundaryOracle(MatrixOracle):
 
     def col(self, j: int) -> SparseVector:
         self._check_col(j)
-        faces = self.complex.faces(self.cols_order.cells[j])
-        return self._vector(_signed(faces, self.rows_order.pos, self._minus))
+        cx, cell, rows, minus = self.complex, self.cols_order.cells[j], self.rows_order, self._minus
+        if cx.kind == "clique":
+            return self._vector(cx._face_entries(cell, rows.by_rank, minus))
+        return self._vector(_signed(cx.faces(cell), rows.pos, minus))
 
     def row(self, i: int) -> SparseVector:
         self._check_row(i)
         missed_i, missed = self._missed
         if missed_i == i:
             return missed
-        cx, cell, pos, minus = self.complex, self.rows_order.cells[i], self.cols_order.pos, self._minus
+        cx, cell, cols, minus = self.complex, self.rows_order.cells[i], self.cols_order, self._minus
         if cx.kind == "clique":
-            return self._vector(cx._coface_entries(cell, pos, minus))
-        return self._vector(_signed(cx.cofaces(cell, self.n - 1), pos, minus))
+            return self._vector(cx._coface_entries(cell, cols.by_rank, minus))
+        return self._vector(_signed(cx.cofaces(cell, self.n - 1), cols.pos, minus))
 
     def pareto_leading(self, i: int) -> Optional[tuple[int, int]]:
         if self.complex.kind != "clique":

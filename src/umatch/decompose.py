@@ -29,6 +29,8 @@ class OpCounter:
     pareto_hits: int = 0
     solves: int = 0
     axpy_entries: int = 0
+    row_fetches: int = 0
+    row_memo_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -297,6 +299,8 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
     Modified rows are never stored: whenever a pivot row is needed for an
     elimination, it is recomputed as the product of the corresponding stored
     pivot-block row with the rows of d, streamed through a lazy merge heap.
+    The rows of d that eliminations stream are built once per call, kept in
+    a memo that is dropped on return.
     """
     f = d.field
     m, n = d.nrows, d.ncols
@@ -307,6 +311,17 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
     row_of_lead: dict[int, int] = {}  # matched column -> pivot row
     coeff_of_lead: dict[int, int] = {}  # matched column -> matching coefficient
     pairs: list[tuple[int, int, int]] = []
+    memo: dict[int, Sequence[tuple[int, int]]] = {}  # row of d -> its entries
+
+    def d_row(i: int) -> Sequence[tuple[int, int]]:
+        entries = memo.get(i)
+        if entries is None:
+            entries = memo[i] = d.row(i).entries
+            if counter is not None:
+                counter.row_fetches += 1
+        elif counter is not None:
+            counter.row_memo_hits += 1
+        return entries
 
     for i in range(m - 1, -1, -1):
         if i in clear_rows:
@@ -334,6 +349,8 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
 
         work = _LazyHeapRow(f, counter)
         work.push_iter(d.row(i).entries, 1)
+        if counter is not None:
+            counter.row_fetches += 1
         vec: dict[int, int] = {}
         while True:
             lead = work.pop_leading()
@@ -353,7 +370,7 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
             # the reduced pivot row j is row_j(rbar) * D restricted to pivots
             work.push_value(k, a)
             for jj, w in rbar_rows[j].items():
-                work.push_iter(d.row(jj).entries, f.mul(neg_lam, w))
+                work.push_iter(d_row(jj), f.mul(neg_lam, w))
             _accumulate(vec, neg_lam, rbar_rows[j].items(), f.p)
             if counter is not None:
                 counter.eliminations += 1

@@ -10,6 +10,7 @@ answered by lazy retrieval from the per-dimension decompositions.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -22,7 +23,7 @@ from .decompose import (
     clearing_filter,
     decompose_compressed,
 )
-from .errors import UsageError
+from .errors import InternalInconsistencyError, UsageError
 from .linalg import NO_SOLUTION, Join, Meet, Sentinel, eval_lattice, solve_dx_b
 from .matrix import SparseVector, axpy, matvec, scale
 from .retrieve import RetrievalTarget, retrieve
@@ -145,9 +146,6 @@ class PersistenceEngine:
         self.max_dim = complex_.max_dim if max_dim is None else min(max_dim, complex_.max_dim)
         self.keep_empty_bars = keep_empty_bars
         self._orders = {n: complex_.order(n) for n in range(self.max_dim + 1)}
-        self._global: list[tuple[int, int]] = []
-        self._global_index: dict[tuple[int, int], int] = {}
-        self._build_global_order()
         self._boundaries = {}
         self._umatch: dict[int, CompressedUmatch] = {}
         self._matchings: dict[int, MatchingArray] = {}
@@ -164,16 +162,6 @@ class PersistenceEngine:
             self._umatch[n] = u
             self._matchings[n] = u.matching
             prior = u.matching
-
-    def _build_global_order(self) -> None:
-        keyed = []
-        for n, order in self._orders.items():
-            for pos, cell in enumerate(order.cells):
-                keyed.append((order.births[pos], n, cell, pos))
-        keyed.sort(key=lambda t: (t[0], t[1], t[2]))
-        for g, (_, n, _, pos) in enumerate(keyed):
-            self._global.append((n, pos))
-            self._global_index[(n, pos)] = g
 
     # -- structure accessors -------------------------------------------
 
@@ -197,16 +185,30 @@ class PersistenceEngine:
         return m
 
     def global_index(self, n: int, pos: int) -> int:
-        return self._global_index[(n, pos)]
+        """Index of cell `pos` of dimension n in the order of all cells by
+        (birth, dimension, cell key).  Each dimension's births are sorted, so
+        the cells before it are `pos` plus, in every other dimension, those
+        born earlier and, in a lower dimension, those born with it."""
+        births = self._orders[n].births if n in self._orders else ()
+        if not 0 <= pos < len(births):
+            raise UsageError(f"cell {pos} of dimension {n} out of range")
+        b = births[pos]
+        return pos + sum((bisect_right if m < n else bisect_left)(order.births, b)
+                         for m, order in self._orders.items() if m != n)
 
     def global_cell(self, g: int) -> tuple[int, int]:
-        if not 0 <= g < len(self._global):
+        """(dimension, position) of the cell with global index g."""
+        if not 0 <= g < self.n_cells_total:
             raise UsageError(f"global cell index {g} out of range")
-        return self._global[g]
+        for n, order in self._orders.items():
+            pos = bisect_left(range(len(order)), g, key=lambda p: self.global_index(n, p))
+            if pos < len(order) and self.global_index(n, pos) == g:
+                return n, pos
+        raise InternalInconsistencyError(f"no cell has global index {g}")
 
     @property
     def n_cells_total(self) -> int:
-        return len(self._global)
+        return sum(map(len, self._orders.values()))
 
     def total_matching(self) -> list[tuple[int, int]]:
         """All matched pairs in global order indices."""

@@ -314,3 +314,55 @@ def standard_rdv(dense, p: int):
             low_of[lj] = j
     lows = {j2: lj for lj, j2 in low_of.items()}
     return red, v, lows
+
+
+# -- persistence references -------------------------------------------------
+
+def global_order_reference(engine):
+    """Every (dimension, position) of the engine's cells, sorted by (birth,
+    dimension, cell key): the total filtration order, materialized."""
+    keyed = []
+    for n in range(engine.max_dim + 1):
+        order = engine.order(n)
+        for pos, cell in enumerate(order.cells):
+            keyed.append((order.births[pos], n, cell, pos))
+    keyed.sort(key=lambda t: (t[0], t[1], t[2]))
+    return [(n, pos) for _, n, _, pos in keyed]
+
+
+def pivot_block_reference(d, clear_rows=frozenset()):
+    """(matching pairs, pivot-block rows {row: {row: coeff}}) of the bottom-to-
+    top row reduction of a matrix oracle, with dense rows.  As in compressed
+    U-match only the pivot-block rows are kept: a modified pivot row is
+    rebuilt from its pivot-block row and rows of d, read afresh, every time
+    an elimination uses it."""
+    p, n = d.field.p, d.ncols
+
+    def dense_row(i):
+        out = [0] * n
+        for j, v in d.row(i).entries:
+            out[j] = v % p
+        return out
+
+    rbar, row_of_lead, pairs = {}, {}, []
+    for i in range(d.nrows - 1, -1, -1):
+        if i in clear_rows:
+            continue
+        work, ops = dense_row(i), {i: 1}
+        while any(work):
+            k = next(j for j, v in enumerate(work) if v)
+            r = row_of_lead.get(k)
+            if r is None:
+                rbar[i] = ops
+                row_of_lead[k] = i
+                pairs.append((i, k, work[k]))
+                break
+            pivot = [0] * n
+            for jj, w in rbar[r].items():
+                pivot = [(a + w * b) % p for a, b in zip(pivot, dense_row(jj))]
+            lam = work[k] * mod_inv(pivot[k], p) % p
+            work = [(a - lam * b) % p for a, b in zip(work, pivot)]
+            for jj, w in rbar[r].items():
+                ops[jj] = (ops.get(jj, 0) - lam * w) % p
+            ops = {jj: w for jj, w in ops.items() if w}
+    return sorted(pairs), rbar

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import umatch.cli
 from umatch.cli import main
 
 
@@ -61,6 +62,36 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert main(["barcode", str(d), "--input-type", "distances", "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["barcode"],
+    ["generators"],
+    ["query", "retrieve", "--dim", "1", "--target", "R", "--axis", "col", "--index", "0"],
+])
+def test_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("built before the output was opened")
+
+    monkeypatch.setattr(umatch.cli, "FilteredCliqueComplex", never)
+    monkeypatch.setattr(umatch.cli, "PersistenceEngine", never)
+    d = tmp_path / "dist.csv"
+    d.write_text("0 1\n1 0\n")
+    out = tmp_path / "no" / "such" / "x.json"
+    argv = command[:1] + [str(d)] + command[1:] + ["--input-type", "distances", "--output", str(out)]
+    assert main(argv) == 2
+    assert str(out) in capsys.readouterr().err
+
+
+def test_failed_command_leaves_no_output(tmp_path, capsys):
+    d = tmp_path / "dist.csv"
+    d.write_text("0 1\n1 0\n")
+    out = tmp_path / "q.json"
+    chain = json.dumps({"dim": 1, "entries": [[[0, 5], 1]]})
+    argv = ["query", str(d), "lifespan", "--input-type", "distances", "--chain", chain, "--output", str(out)]
+    assert main(argv) == 2
+    assert "not in the complex" in capsys.readouterr().err
     assert not out.exists()
 
 

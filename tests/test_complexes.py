@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from umatch import GF, PersistenceEngine, UsageError, boundary_oracle, build_order
 from umatch.complexes import (
@@ -17,7 +18,8 @@ from umatch.complexes import (
 from umatch.datasets import circle_complex, er_complex
 from umatch.decompose import pareto_pairs
 
-from oracles import clique_reference, dense_boundary, mat_mul
+from conftest import clique_inputs
+from oracles import clique_reference, dense_boundary, mat_mul, simplex_faces_signed
 
 
 def equilateral3():
@@ -223,24 +225,6 @@ def test_torus_metric_wraps():
     assert d[0, 1] < euclid
 
 
-GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-@st.composite
-def clique_inputs(draw):
-    """A symmetric matrix on a small grid of values (so births tie), with
-    some nonzero diagonal entries, a threshold that may cut it, a top
-    dimension up to 3 and a field."""
-    n = draw(st.integers(1, 7))
-    d = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            d[a, b] = d[b, a] = draw(st.sampled_from(GRID))
-        d[a, a] = draw(st.sampled_from((0.0, 0.0, 0.25, 0.5)))
-    threshold = draw(st.sampled_from(GRID))
-    return d, draw(st.integers(0, 3)), threshold, draw(st.sampled_from([2, 3, 7]))
-
-
 @settings(max_examples=150, deadline=None)
 @given(clique_inputs())
 def test_clique_oracle_matches_brute_force(case):
@@ -250,12 +234,31 @@ def test_clique_oracle_matches_brute_force(case):
     for dim in range(max_dim + 1):
         assert cx.order(dim).cells == [c for _, c in ref[dim]]
         assert cx.order(dim).births == [b for b, _ in ref[dim]]
+    # positions are stored by simplex rank; `pos` reads them by vertex tuple
+    # and admits no cell of another dimension or outside the threshold
+    ref_pos = {dim: {c: i for i, (_, c) in enumerate(ref[dim])} for dim in ref}
+    for dim in ref:
+        pos = cx.order(dim).pos
+        assert len(pos) == len(ref[dim]) and list(pos) == [c for _, c in ref[dim]]
+        for size in range(1, min(max_dim + 2, len(d)) + 1):
+            for c in itertools.combinations(range(len(d)), size):
+                i = ref_pos[dim].get(c)
+                assert (c in pos) == (i is not None) and pos.get(c) == i
+                if i is None:
+                    with pytest.raises(KeyError):
+                        pos[c]
+                else:
+                    assert pos[c] == i
+        assert (0.5,) not in pos and [0] not in pos and "ab" not in pos
     f = GF(p)
     for n in range(1, max_dim + 1):
         dense = dense_boundary(cx, n, p)
         oracle = boundary_oracle(cx, n, f)
         for j in range(oracle.ncols):
             assert oracle.col(j).to_dense(oracle.nrows) == [row[j] for row in dense]
+            # faces located by rank agree with a plain tuple-keyed lookup
+            faces = simplex_faces_signed(ref[n][j][1])
+            assert list(oracle.col(j).entries) == sorted((ref_pos[n - 1][c], s % p) for c, s in faces)
         hits = set()
         for i in range(oracle.nrows):
             hit = leading_entry_shortcut(cx, n, i)

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from umatch import (
     GF,
@@ -21,8 +23,8 @@ from umatch.linalg import _invert_unitriangular
 import numpy as np
 from umatch.complexes import FilteredCliqueComplex
 
-from conftest import random_stored
-from oracles import mat_mul
+from conftest import clique_inputs, random_stored
+from oracles import mat_mul, pivot_block_reference
 
 
 def eq6_matrix(f):
@@ -328,3 +330,55 @@ def test_other_prime_fields_soak(p):
         c = _invert_unitriangular(full.cinv).to_dense()
         mm = full.matching.to_oracle(d.field).to_dense()
         assert mat_mul(r, mm, p) == mat_mul(d.to_dense(), c, p)
+
+
+def rbar_rows(u):
+    """The pivot block as {pivot row: {pivot row: coeff}}, by absolute index."""
+    rho = u.matching.rho
+    return {rho[q]: {rho[c]: v for c, v in u.rbar.row(q).entries} for q in range(u.rank)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(clique_inputs())
+def test_decompositions_agree_on_random_clique_complexes(case):
+    d, max_dim, threshold, p = case
+    cx = FilteredCliqueComplex(d, max_dim, threshold)
+    f = GF(p)
+    prior = None
+    for n in range(1, max_dim + 1):
+        dn = boundary_oracle(cx, n, f)
+        clear = clearing_filter(prior) if prior is not None else None
+        matching = decompose_full(dn).matching
+        assert matching.support() == matching_rank_oracle(dn)
+        for clearing in (True, False):
+            cleared = clear if clearing and clear else frozenset()
+            pairs, rbar = pivot_block_reference(dn, cleared)
+            for pareto in (True, False):
+                u = decompose_compressed(dn, DecomposeOptions(
+                    clearing=clearing, pareto=pareto, clear_rows=clear))
+                assert u.matching == matching
+                assert list(u.matching.pairs) == pairs
+                assert rbar_rows(u) == rbar
+        prior = matching
+
+
+def test_compressed_builds_each_row_once():
+    rnd = random.Random(11)
+    for p in (2, 7):
+        d = random_stored(rnd, p, 30, 30, density=0.2)
+        calls = Counter()
+        row = d.row
+
+        def counted(i):
+            calls[i] += 1
+            return row(i)
+
+        d.row = counted
+        u = decompose_compressed(d, DecomposeOptions(pareto=False, counters=True))
+        assert u.stats.eliminations > 0 and u.stats.row_memo_hits > 0
+        assert sum(calls.values()) == u.stats.row_fetches
+        # once when the row is reduced, once more at most for the memo
+        assert max(calls.values()) <= 2
+        assert rbar_rows(u) == pivot_block_reference(d)[1]
+        quiet = decompose_compressed(d, DecomposeOptions(pareto=False))
+        assert quiet.stats is None and rbar_rows(quiet) == rbar_rows(u)

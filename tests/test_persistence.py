@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umatch import (
     GF,
@@ -26,9 +27,11 @@ from umatch.persistence import (
     SaecularMeet,
 )
 
+from conftest import clique_inputs, image_inputs
 from oracles import (
     betti_numbers,
     dense_boundary,
+    global_order_reference,
     kernel_basis_mod,
     mat_mul,
     mat_vec,
@@ -593,3 +596,31 @@ def test_three_dimensional_image_barcode_against_oracle():
                 1 for b in engine.bars(n) if b.birth_value <= t < b.death_value
             )
             assert got == bettis[n]
+
+
+def assert_global_order_matches_reference(engine):
+    ref = global_order_reference(engine)
+    assert engine.n_cells_total == len(ref)
+    for g, (n, pos) in enumerate(ref):
+        assert engine.global_index(n, pos) == g
+        assert engine.global_cell(g) == (n, pos)
+    for g in (-1, len(ref), len(ref) + 5):
+        with pytest.raises(UsageError):
+            engine.global_cell(g)
+    for n, pos in ((0, -1), (0, len(engine.order(0))), (-1, 0), (engine.max_dim + 1, 0)):
+        with pytest.raises(UsageError):
+            engine.global_index(n, pos)
+
+
+@settings(max_examples=80, deadline=None)
+@given(clique_inputs(), st.integers(0, 3))
+def test_global_order_matches_sort_on_clique_complexes(case, top):
+    d, max_dim, threshold, p = case
+    cx = FilteredCliqueComplex(d, max_dim, threshold)
+    assert_global_order_matches_reference(PersistenceEngine(cx, GF(p), max_dim=top))
+
+
+@settings(max_examples=60, deadline=None)
+@given(image_inputs())
+def test_global_order_matches_sort_on_cubical_complexes(pixels):
+    assert_global_order_matches_reference(PersistenceEngine(FilteredCubicalComplex(pixels), GF(3)))
