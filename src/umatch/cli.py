@@ -6,7 +6,9 @@ import argparse
 import csv
 import json
 import os
+import stat
 import sys
+import tempfile
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -48,22 +50,46 @@ from .sparsify import column_validity_check, early_stop_solve
 @contextmanager
 def _output(path: Optional[str]):
     """The output stream, stdout for None or "-".  Commands open it before
-    they compute, so that an unwritable path fails at once."""
+    they compute, so that an unwritable directory fails at once.  The text
+    goes to a temporary file beside the target, which replaces the target
+    only when the command succeeds: a failed command leaves an existing
+    file, even its own input, as it was."""
     if path is None or path == "-":
         yield sys.stdout
         return
+    target = os.path.realpath(path)
+    if os.path.isdir(target):
+        raise UsageError(f"cannot write {path}: Is a directory")
+    if os.path.exists(target) and not os.access(target, os.W_OK):
+        raise UsageError(f"cannot write {path}: Permission denied")
     try:
-        out = open(path, "w", encoding="utf-8")
+        tmp = tempfile.NamedTemporaryFile("w", encoding="utf-8", dir=os.path.dirname(target),
+                                          prefix=".umatch-", suffix=".tmp", delete=False)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    with out:
-        try:
-            yield out
-        except BaseException:
-            # a command that fails leaves no partial output behind
-            out.close()
-            os.unlink(path)
-            raise
+    try:
+        with tmp:
+            yield tmp
+    except BaseException:
+        os.unlink(tmp.name)
+        raise
+    try:
+        os.chmod(tmp.name, _new_file_mode(target))
+        os.replace(tmp.name, target)
+    except OSError as exc:
+        os.unlink(tmp.name)
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _new_file_mode(path: str) -> int:
+    """The mode open(path, "w") leaves: the file's own if it exists, else
+    0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mask = os.umask(0)
+        os.umask(mask)
+        return 0o666 & ~mask
 
 
 def _add_common_complex_flags(sp: argparse.ArgumentParser) -> None:

@@ -28,35 +28,32 @@ _first = itemgetter(0)
 
 class FiltrationOrder:
     """Linear order of the cells of one dimension: cell keys, birth values,
-    and the key -> position map.  A clique order stores its positions once,
-    keyed by simplex rank (`by_rank`), and `pos` reads them through
-    `simplex_rank`."""
+    and the key -> position map `pos`, a dict unless the complex supplies
+    its own mapping."""
 
-    def __init__(self, dim: int, cells: list, births: list[float], ranks: Optional[list[int]] = None):
+    def __init__(self, dim: int, cells: list, births: list[float], pos: Optional[Mapping] = None):
         self.dim = dim
         self.cells = cells
         self.births = births
-        if ranks is None:
-            self.pos = {c: i for i, c in enumerate(cells)}
-        else:
-            self.by_rank = dict(zip(ranks, range(len(ranks))))
-            self.pos = _RankPositions(cells, self.by_rank)
+        self.pos = {c: i for i, c in enumerate(cells)} if pos is None else pos
 
     def __len__(self) -> int:
         return len(self.cells)
 
 
 class _RankPositions(Mapping):
-    """Read-only vertex tuple -> position map of a clique order."""
+    """Read-only vertex tuple -> position map of a clique order, read
+    through the rank-keyed positions."""
 
-    def __init__(self, cells: list, by_rank: dict[int, int]):
+    def __init__(self, cells: list, by_rank: dict[int, int], rank):
         self._cells = cells
         self._by_rank = by_rank
+        self._rank = rank
 
     def __getitem__(self, cell) -> int:
         try:
-            i = self._by_rank.get(simplex_rank(cell))
-        except TypeError:  # not a tuple of integers
+            i = self._by_rank.get(self._rank(cell))
+        except (TypeError, IndexError):  # not a tuple of admissible vertices
             i = None
         # a rank names a cell only among the cells of this dimension
         if i is None or self._cells[i] != cell:
@@ -131,11 +128,18 @@ class FilteredCliqueComplex(_Filtered):
         # _binom[k][v] = C(v, k), for the simplex ranks of up to max_dim + 1 vertices
         self._binom = [[math.comb(v, k) for v in range(n)] for k in range(max_dim + 2)]
         self._orders: dict[int, FiltrationOrder] = {}
+        # rank -> position, per dimension: the one stored position map
+        self._by_rank: dict[int, dict[int, int]] = {}
         self._build()
 
     def _common(self, cell: tuple[int, ...]) -> frozenset:
         """Vertices adjacent to every vertex of the cell."""
         return frozenset.intersection(*map(self._nbrs.__getitem__, cell))
+
+    def _rank(self, cell: tuple[int, ...]) -> int:
+        """`simplex_rank(cell)`, read from the binomial table."""
+        b = self._binom
+        return sum([b[j + 1][v] for j, v in enumerate(cell)])
 
     def _build(self) -> None:
         w = self._w
@@ -145,8 +149,10 @@ class FilteredCliqueComplex(_Filtered):
             # the cells come in lexicographic order, so a stable sort by
             # birth puts them in (birth, cell) order
             level = sorted(lex, key=_first)
-            self._orders[dim] = FiltrationOrder(dim, [c for _, c, _ in level],
-                                                [b for b, _, _ in level], [r for _, _, r in level])
+            cells = [c for _, c, _ in level]
+            self._by_rank[dim] = by_rank = {r: i for i, (_, _, r) in enumerate(level)}
+            self._orders[dim] = FiltrationOrder(dim, cells, [b for b, _, _ in level],
+                                                _RankPositions(cells, by_rank, self._rank))
             if dim == self.max_dim:
                 break
             # grow each clique by its common neighbours above its last vertex,
@@ -169,11 +175,11 @@ class FilteredCliqueComplex(_Filtered):
         """(face, sign) pairs: omitting the k-th vertex carries (-1)^k."""
         return [(cell[:k] + cell[k + 1:], -1 if k % 2 else 1) for k in range(len(cell))]
 
-    def _face_entries(self, cell: tuple[int, ...], by_rank: dict, minus: int) -> list[tuple[int, int]]:
-        """(position of the face, sign mapped by `minus`) pairs, sorted.  The
-        face omitting vertex k keeps C(v, j+1) for the vertices j before it
-        and moves the vertices after it down to C(v, j)."""
-        b = self._binom
+    def _face_entries(self, cell: tuple[int, ...], order: FiltrationOrder, minus: int) -> list[tuple[int, int]]:
+        """(position in `order` of the face, sign mapped by `minus`) pairs,
+        sorted.  The face omitting vertex k keeps C(v, j+1) for the vertices
+        j before it and moves the vertices after it down to C(v, j)."""
+        b, by_rank = self._binom, self._by_rank[order.dim]
         below, above = 0, sum([b[j][v] for j, v in enumerate(cell)])
         out, s = [], 1
         for k, v in enumerate(cell):
@@ -201,11 +207,12 @@ class FilteredCliqueComplex(_Filtered):
             return []
         return [(cell[:k] + (v,) + cell[k:], s) for k, s, run in self._runs(cell) for v in run]
 
-    def _coface_entries(self, cell: tuple[int, ...], by_rank: dict, minus: int) -> list[tuple[int, int]]:
-        """(position of the coface, sign mapped by `minus`) pairs, sorted.
-        The coface that puts v at slot k has rank base[k] + C(v, k+1), where
-        base[k] ranks the cell's vertices, those from slot k on moved up one."""
-        b = self._binom
+    def _coface_entries(self, cell: tuple[int, ...], order: FiltrationOrder, minus: int) -> list[tuple[int, int]]:
+        """(position in `order` of the coface, sign mapped by `minus`) pairs,
+        sorted.  The coface that puts v at slot k has rank base[k] + C(v, k+1),
+        where base[k] ranks the cell's vertices, those from slot k on moved
+        up one."""
+        b, by_rank = self._binom, self._by_rank[order.dim]
         base = [sum(b[j + 1 + (j >= k)][v] for j, v in enumerate(cell)) for k in range(len(cell) + 1)]
         return sorted([(by_rank[base[k] + b[k + 1][v]], c)
                        for k, c, run in self._runs(cell, minus) for v in run], key=_first)
@@ -222,7 +229,7 @@ class FilteredCliqueComplex(_Filtered):
         cell, birth, w = rows.cells[i], rows.births[i], self._w
 
         def last_facet(coface: tuple[int, ...]) -> bool:
-            return self._face_entries(coface, rows.by_rank, 1)[-1][0] <= i
+            return self._face_entries(coface, rows, 1)[-1][0] <= i
 
         v = next((v for v in sorted(self._common(cell))
                   if max(map(w[v].__getitem__, cell)) <= birth), None)
@@ -230,9 +237,8 @@ class FilteredCliqueComplex(_Filtered):
             k = bisect_left(cell, v)
             coface = cell[:k] + (v,) + cell[k:]
             if last_facet(coface):
-                rank = sum(self._binom[j + 1][u] for j, u in enumerate(coface))
-                return (cols.by_rank[rank], minus if k & 1 else 1), None
-        row = self._coface_entries(cell, cols.by_rank, minus)
+                return (self._by_rank[cols.dim][self._rank(coface)], minus if k & 1 else 1), None
+        row = self._coface_entries(cell, cols, minus)
         if v is None and row and last_facet(cols.cells[row[0][0]]):
             return row[0], None
         return None, row
@@ -305,6 +311,14 @@ class FilteredCubicalComplex(_Filtered):
                     if c in pos_up]
         return out
 
+    def _face_entries(self, cell, order: FiltrationOrder, minus: int) -> list[tuple[int, int]]:
+        """(position in `order` of the face, sign mapped by `minus`), sorted."""
+        return _signed(self.faces(cell), order.pos, minus)
+
+    def _coface_entries(self, cell, order: FiltrationOrder, minus: int) -> list[tuple[int, int]]:
+        """(position in `order` of the coface, sign mapped by `minus`), sorted."""
+        return _signed(self.cofaces(cell, order.dim - 1), order.pos, minus)
+
 
 def build_order(complex_, dims) -> dict[int, FiltrationOrder]:
     """Per-dimension filtration orders: cells ascending by (birth value,
@@ -341,20 +355,14 @@ class BoundaryOracle(MatrixOracle):
 
     def col(self, j: int) -> SparseVector:
         self._check_col(j)
-        cx, cell, rows, minus = self.complex, self.cols_order.cells[j], self.rows_order, self._minus
-        if cx.kind == "clique":
-            return self._vector(cx._face_entries(cell, rows.by_rank, minus))
-        return self._vector(_signed(cx.faces(cell), rows.pos, minus))
+        return self._vector(self.complex._face_entries(self.cols_order.cells[j], self.rows_order, self._minus))
 
     def row(self, i: int) -> SparseVector:
         self._check_row(i)
         missed_i, missed = self._missed
         if missed_i == i:
             return missed
-        cx, cell, cols, minus = self.complex, self.rows_order.cells[i], self.cols_order, self._minus
-        if cx.kind == "clique":
-            return self._vector(cx._coface_entries(cell, cols.by_rank, minus))
-        return self._vector(_signed(cx.cofaces(cell, self.n - 1), cols.pos, minus))
+        return self._vector(self.complex._coface_entries(self.rows_order.cells[i], self.cols_order, self._minus))
 
     def pareto_leading(self, i: int) -> Optional[tuple[int, int]]:
         if self.complex.kind != "clique":

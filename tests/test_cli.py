@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -93,6 +95,44 @@ def test_failed_command_leaves_no_output(tmp_path, capsys):
     assert main(argv) == 2
     assert "not in the complex" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_failed_command_keeps_existing_output(tmp_path, capsys):
+    d = tmp_path / "dist.csv"
+    d.write_text("0 1\n1 0\n")
+    out = tmp_path / "q.json"
+    out.write_bytes(b"earlier result\n")
+    chain = json.dumps({"dim": 1, "entries": [[[0, 5], 1]]})
+    argv = ["query", str(d), "lifespan", "--input-type", "distances", "--chain", chain, "--output", str(out)]
+    assert main(argv) == 2
+    assert out.read_bytes() == b"earlier result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dist.csv", "q.json"]
+
+
+def test_output_onto_input_reads_input_first(tmp_path, capsys):
+    d = tmp_path / "dist.csv"
+    d.write_text("0 1\n1 0\n")
+    chain = json.dumps({"dim": 1, "entries": [[[0, 5], 1]]})
+    argv = ["query", str(d), "lifespan", "--input-type", "distances", "--chain", chain, "--output", str(d)]
+    assert main(argv) == 2
+    assert d.read_text() == "0 1\n1 0\n"
+    src = tmp_path / "m.txt"
+    src.write_text("2 2 7\n1 1 3\n1 2 1\n2 1 3\n2 2 1\n")
+    assert main(["decompose", str(src), "--output", str(src)]) == 0
+    assert json.loads(src.read_text())["rank"] == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dist.csv", "m.txt"]
+
+
+def test_output_file_mode_follows_umask(tmp_path):
+    src = tmp_path / "m.txt"
+    src.write_text("3 4 2\n")
+    out = tmp_path / "summary.json"
+    mask = os.umask(0o022)
+    try:
+        assert main(["decompose", str(src), "--output", str(out)]) == 0
+    finally:
+        os.umask(mask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
 def test_barcode_command(tmp_path):
