@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import multiprocessing
 import os
 import stat
 import sys
 import tempfile
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Optional
 
@@ -210,23 +212,50 @@ def cmd_generators(args) -> int:
     return 0
 
 
-def _parse_chain(engine, text: str) -> Chain:
-    spec = json.loads(text)
+_CHAIN_FORM = '{"dim": <int>, "entries": [[<cell>, <int>], ...]}'
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
+def _parse_chain(engine, text: Optional[str], flag: str = "--chain") -> Chain:
+    """The chain that `flag` gives as JSON; anything malformed, or a cell
+    outside the complex, is a UsageError."""
+    if text is None:
+        raise UsageError(f"{flag} is required for this query")
+    try:
+        spec = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{flag} is not JSON: {exc}") from None
+    if not (isinstance(spec, dict) and _is_int(spec.get("dim"))
+            and isinstance(spec.get("entries"), list)):
+        raise UsageError(f"{flag} must have the form {_CHAIN_FORM}")
     dim = spec["dim"]
     order = engine.order(dim)
-    f = engine.field
+    clique = engine.complex.kind == "clique"
     pairs = []
-    for cellref, coeff in spec["entries"]:
-        if engine.complex.kind == "clique":
+    for entry in spec["entries"]:
+        if not (isinstance(entry, list) and len(entry) == 2 and _is_int(entry[1])):
+            raise UsageError(f"{flag} entry {entry!r} is not [<cell>, <int>]")
+        cellref, coeff = entry
+        if clique and _int_list(cellref):
             key = tuple(cellref)
-        else:
+        elif (not clique and isinstance(cellref, dict) and _int_list(cellref.get("anchor"))
+              and _int_list(cellref.get("extent"))):
             key = (tuple(cellref["anchor"]), tuple(cellref["extent"]))
+        else:
+            raise UsageError(f"{flag} cell {cellref!r} is malformed")
         if key not in order.pos:
             raise UsageError(f"cell {cellref} is not in the complex")
         pairs.append((order.pos[key], coeff))
     from .matrix import SparseVector
 
-    return Chain(dim, SparseVector.from_pairs(f, pairs))
+    return Chain(dim, SparseVector.from_pairs(engine.field, pairs))
 
 
 def cmd_query(args) -> int:
@@ -254,7 +283,7 @@ def _query_result(args) -> dict:
             ]
     elif args.subquery == "time-of-homology":
         x = _parse_chain(engine, args.chain)
-        g = _parse_chain(engine, args.chain2)
+        g = _parse_chain(engine, args.chain2, "--chain2")
         t = engine.time_of_homology(x, g)
         result["homologous"] = t is not NEVER
         if t is not NEVER:
@@ -349,9 +378,11 @@ def cmd_bench(args) -> int:
     seeds = list(range(args.seed, args.seed + args.trials))
     with _output(args.output) as out:
         if args.parallel and len(seeds) > 1:
-            with ThreadPoolExecutor() as pool:
+            # one process per trial: the trials are CPU-bound Python
+            workers = min(len(seeds), os.cpu_count() or 1)
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
                 chunks = list(pool.map(
-                    lambda s: _bench_one_seed(args, field, s, trace_memory=False), seeds
+                    functools.partial(_bench_one_seed, args, field, trace_memory=False), seeds
                 ))
         else:
             chunks = [_bench_one_seed(args, field, s, trace_memory=True) for s in seeds]

@@ -10,6 +10,7 @@ on demand, which is what makes large decompositions affordable.
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -20,7 +21,12 @@ from .matrix import MatrixOracle, SparseVector, StoredCsMatrix, _accumulate
 
 @dataclass
 class OpCounter:
-    """Coarse operation counts, for benchmarking and regression tests."""
+    """Coarse operation counts, for benchmarking and regression tests.
+
+    A line of the pivot-block product A served from its decomposition's memo
+    adds to a_memo_hits and to no other count, so axpy_entries depends on
+    which lines earlier calls built; solves does not.
+    """
 
     eliminations: int = 0
     heap_pops: int = 0
@@ -31,6 +37,8 @@ class OpCounter:
     axpy_entries: int = 0
     row_fetches: int = 0
     row_memo_hits: int = 0
+    a_lines_built: int = 0
+    a_memo_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -128,9 +136,31 @@ class FullUmatch:
         return self.d.field
 
 
+class _LineMemo:
+    """Lines of a matrix, keyed by (axis, index), kept while their entries
+    total at most `budget`; nothing is evicted.  Storing checks the total
+    and then adds to it, so it holds a lock."""
+
+    __slots__ = ("lines", "held", "budget", "_lock")
+
+    def __init__(self, budget: int):
+        self.lines: dict[tuple[str, int], SparseVector] = {}
+        self.held = 0
+        self.budget = budget
+        self._lock = threading.Lock()
+
+    def store(self, key: tuple[str, int], line: SparseVector) -> None:
+        with self._lock:
+            if key not in self.lines and self.held + line.nnz <= self.budget:
+                self.lines[key] = line
+                self.held += line.nnz
+
+
 class CompressedUmatch:
     """Compressed decomposition: the matching array plus the pivot block
-    (R_rho_rho)^(-1); every other factor is reconstructed lazily."""
+    (R_rho_rho)^(-1); every other factor is reconstructed lazily.  Lines of
+    the pivot-block product A are memoised up to rbar.nnz entries in all
+    (see umatch.retrieve)."""
 
     def __init__(self, d: MatrixOracle, matching: MatchingArray,
                  rbar: StoredCsMatrix, stats: Optional[OpCounter] = None):
@@ -151,6 +181,7 @@ class CompressedUmatch:
         self.pi_inv = tuple(m.kappa_pos[m.col_of_row[r]] for r in m.rho)
         # m_diag[p] = M[row(kappa_p), kappa_p]
         self.m_diag = tuple(m.coeff(m.row_of_col[c]) for c in m.kappa)
+        self._a_memo = _LineMemo(rbar.nnz)
 
     @property
     def field(self) -> Field:

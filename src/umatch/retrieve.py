@@ -5,8 +5,11 @@ block (R_rho_rho)^(-1).  Everything else is rebuilt on demand from the block
 identities, using at most one sparse triangular solve per request.  The
 workhorse is the pivot-block product A = (R_rho_rho)^(-1) * D_rho_kappa,
 which is upper triangular once its rows are listed in the order of their
-matched columns; A is never materialized, its rows and columns are generated
-by composing stored pivot-block vectors with rows and columns of D.
+matched columns.  A is not stored in full: a row or column is generated by
+composing a stored pivot-block vector with rows or columns of D, and kept
+in a memo on the decomposition only while the memo holds no more entries
+than the pivot block itself (a fixed bound, rbar.nnz; lines are never
+evicted).  Every retrieval and solve on one decomposition shares the memo.
 """
 
 from __future__ import annotations
@@ -49,14 +52,33 @@ class PivotBlockProduct(MatrixOracle):
 
     def row(self, q: int) -> SparseVector:
         self._check_row(q)
-        u = self.u
-        full = _product(u.d.row, u.lift(u.rbar.row(q), u.rho), self.counter)
-        return u.restrict(full, u.kappa_pos)
+        line = self._memoised(("row", q))
+        if line is None:
+            u = self.u
+            full = _product(u.d.row, u.lift(u.rbar.row(q), u.rho), self.counter)
+            line = self._built(("row", q), u.restrict(full, u.kappa_pos))
+        return line
 
     def col(self, p: int) -> SparseVector:
         self._check_col(p)
-        u = self.u
-        return _product(u.rbar.col, u.d_col_rho(u.kappa[p]), self.counter)
+        line = self._memoised(("col", p))
+        if line is None:
+            u = self.u
+            line = self._built(("col", p),
+                               _product(u.rbar.col, u.d_col_rho(u.kappa[p]), self.counter))
+        return line
+
+    def _memoised(self, key: tuple[str, int]) -> SparseVector | None:
+        line = self.u._a_memo.lines.get(key)
+        if line is not None and self.counter is not None:
+            self.counter.a_memo_hits += 1
+        return line
+
+    def _built(self, key: tuple[str, int], line: SparseVector) -> SparseVector:
+        if self.counter is not None:
+            self.counter.a_lines_built += 1
+        self.u._a_memo.store(key, line)
+        return line
 
 
 def _product(line, v: SparseVector, counter: OpCounter | None) -> SparseVector:
@@ -267,6 +289,9 @@ def retrieve(u: CompressedUmatch, t: RetrievalTarget) -> SparseVector:
 
 
 def retrieve_with_stats(u: CompressedUmatch, t: RetrievalTarget) -> tuple[SparseVector, OpCounter]:
+    """retrieve(u, t) with the counts of its work.  Lines of A served from
+    u's memo count as a_memo_hits and add no axpy_entries, so axpy_entries
+    depends on the calls made on u before; solves does not."""
     r = _Retriever(u)
     vec = r.run(t)
     return vec, r.counter

@@ -350,3 +350,28 @@ def test_bench_cubical_dataset(tmp_path):
     assert len(rows) == 4
     # pareto short-circuiting is disabled for cubical boundaries
     assert all(r["pareto_hits"] == "0" for r in rows)
+
+
+_EDGE_CHAIN = json.dumps({"dim": 1, "entries": [[[0, 1], 1]]})
+
+
+@pytest.mark.parametrize("subquery, flags", [
+    ("bounding-chain", ["--chain", "not json"]),
+    ("bounding-chain", ["--chain", '{"entries": []}']),
+    ("bounding-chain", ["--chain", '{"dim": 1}']),
+    ("bounding-chain", ["--chain", "[1]"]),
+    ("bounding-chain", ["--chain", '{"dim": 1, "entries": [[[0, 1], 1.5]]}']),
+    ("bounding-chain", ["--chain", '{"dim": 1, "entries": [[[0, 1], "1"]]}']),
+    ("bounding-chain", ["--chain", '{"dim": 1, "entries": [[0, 1]]}']),
+    ("bounding-chain", []),
+    ("lifespan", []),
+    ("time-of-homology", []),
+    ("time-of-homology", ["--chain", _EDGE_CHAIN]),
+])
+def test_malformed_chain_is_a_usage_error(tmp_path, capsys, subquery, flags):
+    d = tmp_path / "dist.csv"
+    d.write_text("0 1 1\n1 0 1\n1 1 0\n")
+    argv = ["query", str(d), subquery, "--input-type", "distances", *flags,
+            "--output", str(tmp_path / "q.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

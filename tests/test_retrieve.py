@@ -1,6 +1,9 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umatch import (
     GF,
@@ -10,15 +13,20 @@ from umatch import (
     UsageError,
     decompose_compressed,
     decompose_full,
+    early_stop_solve,
     retrieve,
     solve_count_audit,
+    solve_dx_b,
+    solve_yd_c,
     triangular_solve,
 )
+from umatch.complexes import FilteredCliqueComplex, boundary_oracle
+from umatch.decompose import CompressedUmatch
 from umatch.errors import InternalInconsistencyError
 from umatch.linalg import _invert_unitriangular
-from umatch.retrieve import PivotBlockProduct
+from umatch.retrieve import PivotBlockProduct, retrieve_with_stats
 
-from conftest import random_stored
+from conftest import clique_inputs, random_stored
 from oracles import identity, invert_mod, mat_mul
 
 
@@ -266,13 +274,78 @@ def test_retrieval_cost_stays_within_matvec_scale():
                         assert stats.axpy_entries <= bound, (which, axis, i)
 
 
-def test_concurrent_retrieval_is_consistent():
+# -- the memo of lines of A ----------------------------------------------
+
+
+def _all_targets(d):
+    return [RetrievalTarget(which, axis, i)
+            for which in ("R", "Rinv", "C", "Cinv") for axis in ("row", "col")
+            for i in range(d.nrows if which in ("R", "Rinv") else d.ncols)]
+
+
+def _cold(u):
+    """The same decomposition with an empty memo."""
+    return CompressedUmatch(u.d, u.matching, u.rbar)
+
+
+def _memo_within_bound(u):
+    memo = u._a_memo
+    return memo.held == sum(v.nnz for v in memo.lines.values()) <= u.rbar.nnz
+
+
+def _check_memo_reuse(d, seed):
+    """Every row and column of every factor, cold and then twice through one
+    memo (in order, then shuffled), equals the cold result and the dense
+    factors; the memo stays within rbar.nnz and serves lines once warm."""
+    truth = dense_ground_truth(d)
+    targets = _all_targets(d)
+    u = decompose_compressed(d)
+    cold = {}
+    for t in targets:
+        vec, counter = retrieve_with_stats(_cold(u), t)
+        assert counter.a_memo_hits == 0
+        cold[t] = (vec, counter.solves)
+    shuffled = list(targets)
+    random.Random(seed).shuffle(shuffled)
+    for order in (targets, shuffled):
+        built = hits = 0
+        for t in order:
+            vec, counter = retrieve_with_stats(u, t)
+            assert (vec, counter.solves) == cold[t]
+            k = d.nrows if t.which in ("R", "Rinv") else d.ncols
+            mat = truth[t.which]
+            want = mat[t.index] if t.axis == "row" else [mat[r][t.index] for r in range(k)]
+            assert vec.to_dense(k) == want
+            built += counter.a_lines_built
+            hits += counter.a_memo_hits
+            assert _memo_within_bound(u)
+        # A's lines hold at most rank <= rbar.nnz entries, so the first
+        # line built is always kept and a later pass finds it
+        if order is shuffled and built + hits:
+            assert hits
+    return u
+
+
+def _check_solves_cold_and_warm(u, rnd):
+    """Solves and early stops on the warm u equal those with a cold memo."""
+    f, d = u.field, u.d
+    for _ in range(4):
+        b = SparseVector.from_dict(f, {i: rnd.randrange(f.p) for i in range(d.nrows)
+                                       if rnd.random() < 0.4})
+        c = SparseVector.from_dict(f, {j: rnd.randrange(f.p) for j in range(d.ncols)
+                                       if rnd.random() < 0.4})
+        assert solve_dx_b(_cold(u), b) == solve_dx_b(u, b)
+        assert solve_yd_c(_cold(u), c) == solve_yd_c(u, c)
+    for j in u.kappa:
+        assert early_stop_solve(_cold(u), j) == early_stop_solve(u, j)
+    assert _memo_within_bound(u)
+
+
+def _retrieve_concurrently(u, truth):
+    """Four threads retrieve every column of R, R^-1, C and C^-1 twenty
+    times each with a short switch interval; returns what went wrong."""
     import threading
 
-    rnd = random.Random(19)
-    d = random_stored(rnd, 7, 8, 9)
-    u = decompose_compressed(d)
-    truth = dense_ground_truth(d)
     errors = []
 
     def worker(which, k):
@@ -287,11 +360,71 @@ def test_concurrent_retrieval_is_consistent():
             errors.append(exc)
 
     threads = [
-        threading.Thread(target=worker, args=(w, 8 if w in ("R", "Rinv") else 9))
+        threading.Thread(target=worker, args=(w, u.d.nrows if w in ("R", "Rinv") else u.d.ncols))
         for w in ("R", "Rinv", "C", "Cinv")
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert _memo_within_bound(u)
+    return errors
+
+
+def test_concurrent_retrieval_is_consistent():
+    rnd = random.Random(19)
+    d = random_stored(rnd, 7, 8, 9)
+    u = decompose_compressed(d)
+    assert not _retrieve_concurrently(u, dense_ground_truth(d))
+
+
+def test_concurrent_retrieval_on_a_warm_memo_is_consistent():
+    rnd = random.Random(19)
+    d = random_stored(rnd, 7, 8, 9)
+    u = decompose_compressed(d)
+    for t in _all_targets(d):
+        retrieve(u, t)
+    assert u._a_memo.lines
+    assert not _retrieve_concurrently(u, dense_ground_truth(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 7]), st.integers(1, 9), st.integers(1, 9),
+       st.floats(0.2, 0.8), st.integers(0, 2 ** 32))
+def test_memo_reuse_on_random_stored_matrices(p, m, n, density, seed):
+    rnd = random.Random(seed)
+    d = random_stored(rnd, p, m, n, density=density)
+    _check_solves_cold_and_warm(_check_memo_reuse(d, seed), rnd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(clique_inputs(), st.integers(0, 2 ** 32))
+def test_memo_reuse_on_clique_boundaries(case, seed):
+    dist, max_dim, threshold, p = case
+    cx = FilteredCliqueComplex(dist, max_dim, threshold)
+    rnd = random.Random(seed)
+    for n in range(1, max_dim + 1):
+        d = boundary_oracle(cx, n, GF(p))
+        if d.nrows and d.ncols:
+            _check_solves_cold_and_warm(_check_memo_reuse(d, seed), rnd)
+
+
+def test_memo_is_shared_by_every_solve_on_a_decomposition():
+    rnd = random.Random(23)
+    d = random_stored(rnd, 7, 12, 12, density=0.4)
+    u = decompose_compressed(d)
+    for j in u.kappa:
+        early_stop_solve(u, j)
+    held = dict(u._a_memo.lines)
+    assert held and _memo_within_bound(u)
+    # a retrieval that needs a column the solves built reads it from the memo
+    key = next(k for k in held if k[0] == "col")
+    j = u.kappa[key[1]]
+    _, counter = retrieve_with_stats(u, RetrievalTarget("C", "col", j))
+    assert counter.a_memo_hits and counter.solves == 1
