@@ -223,9 +223,9 @@ def _int_list(x) -> bool:
     return isinstance(x, list) and all(_is_int(v) for v in x)
 
 
-def _parse_chain(engine, text: Optional[str], flag: str = "--chain") -> Chain:
-    """The chain that `flag` gives as JSON; anything malformed, or a cell
-    outside the complex, is a UsageError."""
+def _parse_chain(cx, field, text: Optional[str], flag: str = "--chain") -> Chain:
+    """The chain that `flag` gives as JSON, over `field`; anything
+    malformed, or a cell outside the complex `cx`, is a UsageError."""
     if text is None:
         raise UsageError(f"{flag} is required for this query")
     try:
@@ -236,8 +236,8 @@ def _parse_chain(engine, text: Optional[str], flag: str = "--chain") -> Chain:
             and isinstance(spec.get("entries"), list)):
         raise UsageError(f"{flag} must have the form {_CHAIN_FORM}")
     dim = spec["dim"]
-    order = engine.order(dim)
-    clique = engine.complex.kind == "clique"
+    order = cx.order(dim)
+    clique = cx.kind == "clique"
     pairs = []
     for entry in spec["entries"]:
         if not (isinstance(entry, list) and len(entry) == 2 and _is_int(entry[1])):
@@ -255,7 +255,7 @@ def _parse_chain(engine, text: Optional[str], flag: str = "--chain") -> Chain:
         pairs.append((order.pos[key], coeff))
     from .matrix import SparseVector
 
-    return Chain(dim, SparseVector.from_pairs(engine.field, pairs))
+    return Chain(dim, SparseVector.from_pairs(field, pairs))
 
 
 def cmd_query(args) -> int:
@@ -266,11 +266,16 @@ def cmd_query(args) -> int:
 
 def _query_result(args) -> dict:
     cx = _load_complex(args)
+    # the chains are read before the engine is built, so that a malformed
+    # one fails at once
+    flags = {"bounding-chain": ("--chain",), "time-of-homology": ("--chain", "--chain2"),
+             "lifespan": ("--chain",)}.get(args.subquery, ())
+    field = GF(args.field)
+    xs = [_parse_chain(cx, field, getattr(args, flag[2:]), flag) for flag in flags]
     engine = _build_engine(cx, args)
     result: dict = {"query": args.subquery}
     if args.subquery == "bounding-chain":
-        x = _parse_chain(engine, args.chain)
-        res = engine.bounding_chain(x)
+        res = engine.bounding_chain(*xs)
         if res is NEVER_BOUNDS:
             result["bounds"] = False
         else:
@@ -282,15 +287,12 @@ def _query_result(args) -> dict:
                 for pos, v in res.witness.vector.entries
             ]
     elif args.subquery == "time-of-homology":
-        x = _parse_chain(engine, args.chain)
-        g = _parse_chain(engine, args.chain2, "--chain2")
-        t = engine.time_of_homology(x, g)
+        t = engine.time_of_homology(*xs)
         result["homologous"] = t is not NEVER
         if t is not NEVER:
             result["value"] = t
     elif args.subquery == "lifespan":
-        x = _parse_chain(engine, args.chain)
-        lo, hi = engine.lifespan(x)
+        lo, hi = engine.lifespan(*xs)
         result["birth"] = lo
         result["bounding"] = None if hi == float("inf") else hi
     elif args.subquery == "retrieve":

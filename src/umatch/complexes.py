@@ -3,15 +3,18 @@
 A complex stores its cells per dimension, sorted by filtration order, and
 exposes each boundary operator as a lazy MatrixOracle whose rows are built
 by a coface enumerator and whose columns are built by a face enumerator.
-The matrices themselves are never materialized.
+The matrices themselves are never materialized.  A clique complex builds
+each level of cliques, and finds the apparent pairs of each boundary, by
+numpy passes over fixed-size blocks of cells rather than a Python loop per
+cell; the apparent pairs are kept as a table that the pareto test reads.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Mapping
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -22,8 +25,13 @@ from .errors import UsageError
 from .matrix import MatrixOracle, SparseVector
 
 
-# sort key of (birth, cell) and of (position, coefficient) pairs
+# sort key of (position, coefficient) pairs
 _first = itemgetter(0)
+
+# cells per block of the numpy passes that grow a level of cliques and that
+# find apparent pairs; a block holds a few (block x n_points) arrays
+_GROW_BLOCK = 2048
+_PAIR_BLOCK = 1024
 
 
 class FiltrationOrder:
@@ -91,16 +99,37 @@ def simplex_rank(simplex: Sequence[int]) -> int:
     return sum(binomial(v, k + 1) for k, v in enumerate(simplex))
 
 
+def _rank_dtype(binom: list[list[int]]):
+    """int64 when every rank summed from the binomial table fits in it (a
+    rank is below twice the largest entry), else Python ints in object
+    arrays."""
+    big = max((max(row, default=0) for row in binom), default=0)
+    return np.int64 if 2 * big < 2 ** 63 else object
+
+
+def _max_rows(w: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Per cell, the entrywise maximum of the rows of w at its vertices.  A
+    tie keeps the value of the earlier vertex, as a scan that replaces only
+    on a strictly larger value does, so even the sign of a zero is kept."""
+    out = w[cells[:, 0]]
+    for k in range(1, cells.shape[1]):
+        row = w[cells[:, k]]
+        np.copyto(out, row, where=row > out)
+    return out
+
+
 class FilteredCliqueComplex(_Filtered):
     """Vietoris-Rips complex of a dissimilarity matrix: a vertex is born at
     its diagonal entry, and a larger simplex at the largest vertex birth or
     pairwise dissimilarity of its vertices.
 
-    Cliques are enumerated through neighbour sets: a (d+1)-clique grows from
-    a d-clique by a common neighbour larger than its last vertex, and the
-    cofaces of a cell are its splices with its common neighbours.  Positions
-    are keyed by simplex rank, and the ranks of cofaces and faces are summed
-    from a binomial table, so no vertex tuple is built per entry."""
+    Each level of cliques is built by numpy passes over blocks of the level
+    below: a (d+1)-clique grows from a d-clique by a vertex above its last
+    one that lies within the threshold of all its vertices.  Positions are
+    keyed by simplex rank, and the ranks of cofaces and faces are summed
+    from a binomial table, so no vertex tuple is built per row entry.  The
+    apparent pairs of a row dimension are found in one batch pass, the
+    first time they are asked for, and kept as a table."""
 
     kind = "clique"
 
@@ -121,15 +150,24 @@ class FilteredCliqueComplex(_Filtered):
         self.n_points = n = d.shape[0]
         self.max_dim = max_dim
         self.threshold = t = float(threshold)
-        # Python floats, the upper triangle mirrored: the pair {a, b} reads
-        # d[min, max] from either side
-        self._w = w = np.where(np.tri(n, dtype=bool).T, self.d, self.d.T).tolist()
-        self._nbrs = [frozenset(v for v in range(n) if v != u and w[u][v] <= t) for u in range(n)]
-        # _binom[k][v] = C(v, k), for the simplex ranks of up to max_dim + 1 vertices
+        # the upper triangle mirrored: the pair {a, b} reads d[min, max]
+        # from either side
+        self._w = w = np.where(np.tri(n, dtype=bool).T, self.d, self.d.T)
+        adjacent = w <= t
+        np.fill_diagonal(adjacent, False)
+        self._ids = list(range(n))
+        self._nbrs = [frozenset(map(self._ids.__getitem__, np.flatnonzero(a).tolist())) for a in adjacent]
+        # _binom[k][v] = C(v, k), for the simplex ranks of up to max_dim + 1
+        # vertices; _binom_np is the same table as an array
         self._binom = [[math.comb(v, k) for v in range(n)] for k in range(max_dim + 2)]
+        self._binom_np = np.array(self._binom, dtype=_rank_dtype(self._binom)).reshape(max_dim + 2, n)
         self._orders: dict[int, FiltrationOrder] = {}
         # rank -> position, per dimension: the one stored position map
         self._by_rank: dict[int, dict[int, int]] = {}
+        # (vertex array, births) of each row dimension, in filtration order
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # row dimension -> its apparent-pair table (see _apparent_pairs)
+        self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._build()
 
     def _common(self, cell: tuple[int, ...]) -> frozenset:
@@ -142,34 +180,68 @@ class FilteredCliqueComplex(_Filtered):
         return sum([b[j + 1][v] for j, v in enumerate(cell)])
 
     def _build(self) -> None:
-        w = self._w
-        # (birth, cell, simplex rank); the rank of (v,) is C(v, 1) = v
-        lex = [(w[v][v], (v,), v) for v in range(self.n_points) if w[v][v] <= self.threshold]
+        # level 0 in lexicographic order: (vertex array, births, ranks); the
+        # rank of (v,) is C(v, 1) = v
+        v = np.flatnonzero(np.diagonal(self._w) <= self.threshold)
+        level = (v[:, None].astype(np.int32), self._w[v, v], v.astype(self._binom_np.dtype))
         for dim in range(self.max_dim + 1):
-            # the cells come in lexicographic order, so a stable sort by
-            # birth puts them in (birth, cell) order
-            level = sorted(lex, key=_first)
-            cells = [c for _, c, _ in level]
-            self._by_rank[dim] = by_rank = {r: i for i, (_, _, r) in enumerate(level)}
-            self._orders[dim] = FiltrationOrder(dim, cells, [b for b, _, _ in level],
-                                                _RankPositions(cells, by_rank, self._rank))
-            if dim == self.max_dim:
-                break
-            # grow each clique by its common neighbours above its last vertex,
-            # ascending; every pair of a clique is within the threshold, and
-            # the rank of cell + (v,) is the cell's rank plus C(v, dim + 2)
-            grown = []
-            top = self._binom[dim + 2]
-            for b, cell, r in lex:
-                rows = [w[u] for u in cell]
-                vs = sorted(self._common(cell))
-                for v in vs[bisect_right(vs, cell[-1]):]:
-                    birth = b
-                    for row in rows:
-                        if row[v] > birth:
-                            birth = row[v]
-                    grown.append((birth, cell + (v,), r + top[v]))
-            lex = grown
+            grown = self._grow(*level) if dim < self.max_dim else None
+            self._store(dim, *level)
+            level = grown
+
+    def _grow(self, cells: np.ndarray, births: np.ndarray, ranks: np.ndarray):
+        """The next level in lexicographic order, from this one in
+        lexicographic order: each clique grows by every vertex v above its
+        last vertex within the threshold of all its vertices, born at the
+        clique's birth or at the largest weight to v, and ranked at the
+        clique's rank plus C(v, size + 1)."""
+        top = self._binom_np[cells.shape[1] + 1]
+        above = np.arange(self.n_points)
+        parts = []
+        # one block runs even when the level is empty, for the array shapes
+        for s in range(0, max(len(cells), 1), _GROW_BLOCK):
+            block = cells[s:s + _GROW_BLOCK]
+            wmax = _max_rows(self._w, block)
+            # nonzero lists (parent, v) row by row: lexicographic order
+            p, v = np.nonzero((wmax <= self.threshold) & (above > block[:, -1:]))
+            grown = np.empty((len(p), block.shape[1] + 1), dtype=cells.dtype)
+            grown[:, :-1] = block[p]
+            grown[:, -1] = v
+            born, wv = births[s + p], wmax[p, v]
+            np.copyto(born, wv, where=wv > born)
+            parts.append((grown, born, ranks[s + p] + top[v]))
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+    def _store(self, dim: int, cells: np.ndarray, births: np.ndarray, ranks: np.ndarray) -> None:
+        """Sort a level from lexicographic into (birth, cell) order, in
+        place, by one stable sort on birth, and keep its filtration order:
+        vertex tuples, births that share one float per value, positions by
+        rank.  A row dimension also keeps its arrays."""
+        order = np.argsort(births, kind="stable")
+        for a in (cells, births, ranks):
+            a[:] = a[order]
+        del order
+        tuples: list = []
+        for s in range(0, len(cells), _GROW_BLOCK):
+            tuples += zip(*map(self._vertex_ints, cells[s:s + _GROW_BLOCK].T))
+        # runs of equal births, told apart by bits so that 0.0 and -0.0 stay
+        bits = births.view(np.int64)
+        first = np.ones(len(bits), dtype=bool)
+        first[1:] = bits[1:] != bits[:-1]
+        starts = np.flatnonzero(first)
+        counts = np.diff(np.append(starts, len(births)))
+        born = list(chain.from_iterable(map(repeat, births[starts].tolist(), counts.tolist())))
+        self._by_rank[dim] = by_rank = dict(zip(ranks.tolist(), range(len(ranks))))
+        self._orders[dim] = FiltrationOrder(dim, tuples, born, _RankPositions(tuples, by_rank, self._rank))
+        if dim < self.max_dim:
+            self._rows[dim] = (cells, births)
+
+    def _vertex_ints(self, column: np.ndarray) -> list[int]:
+        """A column of vertex ids as Python ints, one int object per vertex:
+        CPython shares the ints up to 256, and larger ones are read from
+        `_ids`."""
+        ints = column.tolist()
+        return ints if self.n_points <= 257 else list(map(self._ids.__getitem__, ints))
 
     def faces(self, cell: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
         """(face, sign) pairs: omitting the k-th vertex carries (-1)^k."""
@@ -217,31 +289,83 @@ class FilteredCliqueComplex(_Filtered):
         return sorted([(by_rank[base[k] + b[k + 1][v]], c)
                        for k, c, run in self._runs(cell, minus) for v in run], key=_first)
 
-    def _apparent_pair(self, i: int, rows: FiltrationOrder, cols: FiltrationOrder, minus: int):
-        """(leading entry, None) when row i of the boundary from `cols` to
-        `rows` is the last facet of its leading coface, else (None, the row's
-        entries sorted by position); signs map to 1 or `minus`.
+    def _apparent_pair(self, dim: int, i: int, minus: int) -> Optional[tuple[int, int]]:
+        """(column, 1 or `minus`) of the leading entry of row i of the
+        boundary from dimension dim + 1 to dim when the two form an apparent
+        pair, else None."""
+        cols, odd = self._apparent_pairs(dim)
+        if not 0 <= i < len(cols):
+            raise UsageError(f"row {i} out of range")
+        j = int(cols[i])
+        return None if j < 0 else (j, minus if odd[i] else 1)
 
-        The leading coface is the minimum (birth, coface).  No coface is born
-        before the cell, and a smaller added vertex makes a smaller tuple: so
-        the first coface born with the cell, if any, leads, and a hit on it
-        is found without building the row."""
-        cell, birth, w = rows.cells[i], rows.births[i], self._w
+    def _apparent_pairs(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """The apparent pairs of the rows of dimension dim, as two arrays
+        over the rows: the position of the row's leading coface when the row
+        is that coface's last facet, else -1; and whether the coface puts
+        its added vertex at an odd slot of the row's cell.
 
-        def last_facet(coface: tuple[int, ...]) -> bool:
-            return self._face_entries(coface, rows, 1)[-1][0] <= i
+        The leading coface of a row is its minimum (birth, coface).  No
+        coface is born before the cell, and a smaller added vertex makes a
+        smaller tuple: so the coface with the smallest vertex v whose
+        weights to the cell are within the cell's birth, if there is one,
+        leads.  Without one, every coface is born later, and a later-born
+        coface of a cell with two or more vertices has a facet born after
+        the cell; so only a vertex can still pair, with the edge to its
+        nearest neighbour (the smallest one on ties)."""
+        if dim in self._pairs:
+            return self._pairs[dim]
+        if not 0 <= dim < self.max_dim:
+            raise UsageError(f"no boundary rows in dimension {dim}")
+        cells, births = self._rows[dim]
+        cols = np.full(len(births), -1, dtype=np.int32)
+        odd = np.zeros(len(births), dtype=bool)
+        face_pos, coface_pos = self._positions(dim), self._positions(dim + 1)
+        w, b = self._w, self._binom_np
+        # _binom rows for the vertices of a coface at its slots, kept (l + 1)
+        # or moved down one (l) by an omitted vertex before them
+        kept, moved = np.arange(1, dim + 3), np.arange(dim + 2)
+        for s in range(0, len(births), _PAIR_BLOCK):
+            block = cells[s:s + _PAIR_BLOCK]
+            rows = np.arange(len(block))
+            cand = _max_rows(w, block) <= births[s:s + _PAIR_BLOCK, None]
+            cand[rows[:, None], block] = False
+            found = cand.any(axis=1)
+            r = np.flatnonzero(found)
+            v = cand[r].argmax(axis=1)
+            coface = np.concatenate((block[r], v[:, None]), axis=1)
+            coface.sort(axis=1)
+            keep, move = b[kept, coface], b[moved, coface]
+            # facet l keeps the vertices before slot l and moves those after
+            facets = (np.cumsum(keep, axis=1) - keep) + (move.sum(axis=1)[:, None] - np.cumsum(move, axis=1))
+            hit = face_pos(facets).max(axis=1) <= s + r
+            r, v, keep = r[hit], v[hit], keep[hit]
+            cols[s + r] = coface_pos(keep.sum(axis=1))
+            odd[s + r] = (block[r] < v[:, None]).sum(axis=1) & 1
+            if dim == 0:
+                r = np.flatnonzero(~found)
+                u = block[r, 0]
+                near = w[u]
+                near[rows[:len(r)], u] = np.inf
+                x = near.argmin(axis=1)
+                # x is u only when u has no other vertex; then pos(x) < i fails
+                hit = near[rows[:len(r)], x] <= self.threshold
+                r, u, x = r[hit], u[hit], x[hit]
+                hit = face_pos(x) < s + r
+                r, u, x = r[hit], u[hit], x[hit]
+                lo, hi = np.minimum(u, x), np.maximum(u, x)
+                cols[s + r] = coface_pos(b[1, lo] + b[2, hi])
+                odd[s + r] = x > u
+        self._pairs[dim] = cols, odd
+        return cols, odd
 
-        v = next((v for v in sorted(self._common(cell))
-                  if max(map(w[v].__getitem__, cell)) <= birth), None)
-        if v is not None:
-            k = bisect_left(cell, v)
-            coface = cell[:k] + (v,) + cell[k:]
-            if last_facet(coface):
-                return (self._by_rank[cols.dim][self._rank(coface)], minus if k & 1 else 1), None
-        row = self._coface_entries(cell, cols, minus)
-        if v is None and row and last_facet(cols.cells[row[0][0]]):
-            return row[0], None
-        return None, row
+    def _positions(self, dim: int):
+        """The rank -> position map of a dimension as a vectorised lookup."""
+        by_rank = self._by_rank[dim]
+        ranks = np.fromiter(by_rank, dtype=self._binom_np.dtype, count=len(by_rank))
+        pos = np.argsort(ranks)
+        ranks = ranks[pos]
+        return lambda query: pos[np.searchsorted(ranks, query)]
 
 
 class FilteredCubicalComplex(_Filtered):
@@ -346,9 +470,6 @@ class BoundaryOracle(MatrixOracle):
         self.ncols = len(self.cols_order)
         self.pareto_enabled = complex_.kind == "clique"
         self._minus = field.normalize(-1)
-        # the row built by a pareto_leading miss, handed to the row() call
-        # that follows it, so that the cofaces are enumerated once
-        self._missed: tuple[int, Optional[SparseVector]] = (-1, None)
 
     def _vector(self, entries: list[tuple[int, int]]) -> SparseVector:
         return SparseVector(self.field, entries, _checked=True)
@@ -359,19 +480,15 @@ class BoundaryOracle(MatrixOracle):
 
     def row(self, i: int) -> SparseVector:
         self._check_row(i)
-        missed_i, missed = self._missed
-        if missed_i == i:
-            return missed
         return self._vector(self.complex._coface_entries(self.rows_order.cells[i], self.cols_order, self._minus))
 
     def pareto_leading(self, i: int) -> Optional[tuple[int, int]]:
-        if self.complex.kind != "clique":
+        """A lookup in the complex's apparent-pair table of this row
+        dimension, which the first call builds; a miss builds no row."""
+        if not self.pareto_enabled:
             return None
         self._check_row(i)
-        hit, row = self.complex._apparent_pair(i, self.rows_order, self.cols_order, self._minus)
-        if hit is None:
-            self._missed = (i, self._vector(row))
-        return hit
+        return self.complex._apparent_pair(self.n - 1, i, self._minus)
 
 
 def _signed(cells, pos: dict, minus: int) -> list[tuple[int, int]]:
@@ -387,13 +504,13 @@ def leading_entry_shortcut(complex_, n: int, i: int,
                            rows_order: Optional[FiltrationOrder] = None,
                            cols_order: Optional[FiltrationOrder] = None) -> Optional[tuple[int, int]]:
     """(column, sign) when row i and its leading coface j form an apparent
-    pair (no later row meets column j), None otherwise; a miss builds the
-    row in the same pass.  Clique complexes only."""
+    pair (no later row meets column j), None otherwise, read from the
+    complex's apparent-pair table.  Clique complexes only; the orders are
+    always the complex's own, so `rows_order` and `cols_order` are not
+    read."""
     if complex_.kind != "clique":
         raise UsageError("leading-entry shortcut applies to clique complexes only")
-    rows_order = rows_order or complex_.order(n - 1)
-    cols_order = cols_order or complex_.order(n)
-    return complex_._apparent_pair(i, rows_order, cols_order, -1)[0]
+    return complex_._apparent_pair(n - 1, i, -1)
 
 
 def torus_metric(points: np.ndarray) -> np.ndarray:

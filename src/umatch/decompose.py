@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .coeff import Field
@@ -74,13 +75,22 @@ class MatchingArray:
             self._coeff[r] = v
         self.rho = tuple(sorted(self.col_of_row))
         self.kappa = tuple(sorted(self.row_of_col))
-        rho_set = set(self.rho)
-        kappa_set = set(self.kappa)
-        self.rho_bar = tuple(i for i in range(nrows) if i not in rho_set)
-        self.kappa_bar = tuple(j for j in range(ncols) if j not in kappa_set)
-        self.kappa_star = tuple(self.row_of_col[c] for c in self.kappa)
         self.rho_pos = {r: q for q, r in enumerate(self.rho)}
         self.kappa_pos = {c: p for p, c in enumerate(self.kappa)}
+
+    # the complements scan every row or column, so they are built on first use
+
+    @cached_property
+    def rho_bar(self) -> tuple[int, ...]:
+        return tuple(i for i in range(self.nrows) if i not in self.col_of_row)
+
+    @cached_property
+    def kappa_bar(self) -> tuple[int, ...]:
+        return tuple(j for j in range(self.ncols) if j not in self.row_of_col)
+
+    @cached_property
+    def kappa_star(self) -> tuple[int, ...]:
+        return tuple(self.row_of_col[c] for c in self.kappa)
 
     @property
     def rank(self) -> int:
@@ -171,8 +181,6 @@ class CompressedUmatch:
         m = matching
         self.rho = m.rho
         self.kappa = m.kappa
-        self.rho_bar = m.rho_bar
-        self.kappa_bar = m.kappa_bar
         self.rho_pos = m.rho_pos
         self.kappa_pos = m.kappa_pos
         # pi[p] = pivot-row position paired with pivot-column position p
@@ -182,6 +190,14 @@ class CompressedUmatch:
         # m_diag[p] = M[row(kappa_p), kappa_p]
         self.m_diag = tuple(m.coeff(m.row_of_col[c]) for c in m.kappa)
         self._a_memo = _LineMemo(rbar.nnz)
+
+    @property
+    def rho_bar(self) -> tuple[int, ...]:
+        return self.matching.rho_bar
+
+    @property
+    def kappa_bar(self) -> tuple[int, ...]:
+        return self.matching.kappa_bar
 
     @property
     def field(self) -> Field:

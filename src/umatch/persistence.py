@@ -223,12 +223,12 @@ class PersistenceEngine:
     def bars(self, n: int) -> list[Bar]:
         if n < 0 or n > self.max_dim:
             raise UsageError(f"dimension {n} out of range")
-        out = []
         up = self.matching(n + 1)
-        for r, c, _ in up.pairs:
-            bar = Bar(self, n, r, c)
-            if self.keep_empty_bars or bar.birth_value != bar.death_value:
-                out.append(bar)
+        # an empty bar is born and dies at one value; it is dropped before
+        # any Bar is built for it, unless empty bars are kept
+        born, dies = self.order(n).births, self.order(n + 1).births
+        out = [Bar(self, n, r, c) for r, c, _ in up.pairs
+               if self.keep_empty_bars or born[r] != dies[c]]
         here = self.matching(n)
         matched_rows = set(up.col_of_row)
         matched_cols = set(here.row_of_col)

@@ -375,3 +375,22 @@ def test_malformed_chain_is_a_usage_error(tmp_path, capsys, subquery, flags):
             "--output", str(tmp_path / "q.json")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("subquery, flags", [
+    ("bounding-chain", ["--chain", "not json"]),
+    ("bounding-chain", ["--chain", '{"dim": 1, "entries": [[[0, 7], 1]]}']),
+    ("lifespan", []),
+    ("time-of-homology", ["--chain", _EDGE_CHAIN, "--chain2", "[1]"]),
+])
+def test_malformed_chain_fails_before_the_engine_is_built(tmp_path, capsys, monkeypatch, subquery, flags):
+    def no_engine(cx, args):
+        raise AssertionError("the engine was built before the chains were read")
+
+    monkeypatch.setattr(umatch.cli, "_build_engine", no_engine)
+    d = tmp_path / "dist.csv"
+    d.write_text("0 1 1\n1 0 1\n1 1 0\n")
+    argv = ["query", str(d), subquery, "--input-type", "distances", *flags,
+            "--output", str(tmp_path / "q.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from umatch import GF, PersistenceEngine, UsageError, boundary_oracle, build_order
+from umatch import complexes
 from umatch.complexes import (
     FilteredCliqueComplex,
     FilteredCubicalComplex,
@@ -267,6 +268,68 @@ def test_clique_oracle_matches_brute_force(case):
                 assert hit[1] % p == dense[i][hit[0]]
             assert oracle.row(i).to_dense(oracle.ncols) == dense[i]
             assert oracle.pareto_leading(i) == (None if hit is None else (hit[0], hit[1] % p))
-            # a miss hands the row it built to the row() call that follows
+            # the apparent-pair lookup leaves the row as it was
             assert oracle.row(i).to_dense(oracle.ncols) == dense[i]
         assert hits == set(pareto_pairs(oracle))
+
+
+def assert_matches_reference(cx, d, max_dim, threshold):
+    """Cells and births (to the sign of a zero) as the brute-force reference
+    has them, and the apparent pairs of every boundary as pareto_pairs finds
+    them, each hit carrying its row's leading entry."""
+    ref = clique_reference(d, max_dim, threshold)
+    for dim in range(max_dim + 1):
+        assert cx.order(dim).cells == [c for _, c in ref[dim]]
+        assert [(b, math.copysign(1, b)) for b in cx.order(dim).births] == \
+            [(b, math.copysign(1, b)) for b, _ in ref[dim]]
+    for n in range(1, max_dim + 1):
+        oracle = boundary_oracle(cx, n, GF(7))
+        hits = set()
+        for i in range(oracle.nrows):
+            hit = oracle.pareto_leading(i)
+            if hit is not None:
+                assert oracle.row(i).leading() == hit
+                hits.add((i, hit[0]))
+        assert hits == pareto_pairs(oracle)
+
+
+def test_blocked_passes_match_reference_beyond_one_block():
+    # 9,880 triangles: the parents of the top level and the rows of the top
+    # boundary run to several blocks of both numpy passes
+    cx = er_complex(40, seed=1, max_dim=3)
+    assert cx.n_cells(2) > max(complexes._GROW_BLOCK, complexes._PAIR_BLOCK)
+    assert_matches_reference(cx, cx.d, 3, cx.threshold)
+
+
+def test_isolated_vertices_and_vertices_born_above_threshold():
+    # vertex 3 has no edge within the threshold, vertex 4 is born above it,
+    # vertex 1 is born after its edge to vertex 0, and vertex 2 is born at
+    # -0.0 with its edge (2, 5) weighing 0.0, so that edge is born at -0.0
+    d = np.full((6, 6), 2.0)
+    np.fill_diagonal(d, [0.0, 0.5, -0.0, 0.0, 1.5, 0.0])
+    for (a, b), x in {(0, 1): .1, (0, 2): .2, (1, 2): .3, (0, 5): .7, (2, 5): 0.0,
+                      (1, 5): .9, (0, 4): .1, (2, 4): .2}.items():
+        d[a, b] = d[b, a] = x
+    cx = FilteredCliqueComplex(d, max_dim=2, threshold=1.0)
+    assert cx.order(0).cells == [(0,), (2,), (3,), (5,), (1,)]
+    assert_matches_reference(cx, d, 2, 1.0)
+    # the isolated vertex is no apparent pair; vertex 5 pairs with the edge
+    # (2, 5), born with it
+    d1 = boundary_oracle(cx, 1, GF(7))
+    assert d1.pareto_leading(cx.order(0).pos[(3,)]) is None
+    assert d1.pareto_leading(cx.order(0).pos[(5,)]) == (cx.order(1).pos[(2, 5)], 1)
+    bars = PersistenceEngine(cx, GF(2)).bars(0)
+    assert sorted(b.interval() for b in bars if not b.finite) == [(0.0, math.inf), (0.0, math.inf)]
+    # a lone vertex, even under an infinite threshold, pairs with nothing
+    assert leading_entry_shortcut(FilteredCliqueComplex(np.zeros((1, 1)), 1, math.inf), 1, 0) is None
+
+
+def test_object_ranks_give_the_same_complex(monkeypatch):
+    # ranks past int64 are kept as Python ints in object arrays
+    assert complexes._rank_dtype([[math.comb(v, 6) for v in range(5000)]]) is object
+    assert complexes._rank_dtype([[math.comb(v, 4) for v in range(5000)]]) is np.int64
+    d = er_complex(12, seed=2, max_dim=3).d
+    monkeypatch.setattr(complexes, "_rank_dtype", lambda binom: object)
+    cx = FilteredCliqueComplex(d, 3, 1.0)
+    assert cx._binom_np.dtype == object
+    assert_matches_reference(cx, d, 3, 1.0)
