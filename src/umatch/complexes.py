@@ -5,18 +5,19 @@ exposes each boundary operator as a lazy MatrixOracle whose rows are built
 by a coface enumerator and whose columns are built by a face enumerator.
 The matrices themselves are never materialized.  A clique complex builds
 each level of cliques, and finds the apparent pairs of each boundary, by
-numpy passes over fixed-size blocks of cells rather than a Python loop per
-cell; the apparent pairs are kept as a table that the pareto test reads.
+numpy passes over blocks of cells, and keeps a level as arrays: vertex
+tuples are made only when asked for, and positions are read by simplex
+rank.  The apparent pairs are kept as a table that the pareto test reads.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from itertools import chain, combinations, repeat
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -35,11 +36,11 @@ _PAIR_BLOCK = 1024
 
 
 class FiltrationOrder:
-    """Linear order of the cells of one dimension: cell keys, birth values,
-    and the key -> position map `pos`, a dict unless the complex supplies
-    its own mapping."""
+    """Linear order of the cells of one dimension: the cells, their birth
+    values, and the cell -> position map `pos`, a dict unless the complex
+    supplies its own mapping."""
 
-    def __init__(self, dim: int, cells: list, births: list[float], pos: Optional[Mapping] = None):
+    def __init__(self, dim: int, cells: Sequence, births: list[float], pos: Optional[Mapping] = None):
         self.dim = dim
         self.cells = cells
         self.births = births
@@ -49,22 +50,74 @@ class FiltrationOrder:
         return len(self.cells)
 
 
-class _RankPositions(Mapping):
-    """Read-only vertex tuple -> position map of a clique order, read
-    through the rank-keyed positions."""
+class _CliqueCells(Sequence):
+    """The cells of a clique level, read from its (cells x vertices) int32
+    array of sorted vertex ids: a cell is a tuple of Python ints, made each
+    time it is asked for.  It equals a list of the same tuples."""
 
-    def __init__(self, cells: list, by_rank: dict[int, int], rank):
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: np.ndarray):
+        self.vertices = vertices
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [tuple(c) for c in self.vertices[i].tolist()]
+        return tuple(self.vertices[i].tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _CliqueCells):
+            return np.array_equal(self.vertices, other.vertices)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+
+class _CliquePositions(Mapping):
+    """Positions of the cells of a clique level, by vertex tuple and, for
+    the complex, by simplex rank: a dense int32 table over every rank of the
+    dimension when the level holds at least a quarter of them, else the
+    level's ranks sorted and searched.  A rank names a cell only among the
+    cells of its level, so the cell at a tuple's position is checked."""
+
+    def __init__(self, cells: _CliqueCells, ranks: np.ndarray, n_ranks: int, rank):
         self._cells = cells
-        self._by_rank = by_rank
         self._rank = rank
+        if n_ranks <= 4 * len(ranks):
+            # a rank of no cell reads -1
+            self._table = np.full(n_ranks, -1, dtype=np.int32)
+            self._table[ranks.astype(np.intp)] = np.arange(len(ranks), dtype=np.int32)
+            # at[r] reads the position of rank r as a Python int, faster
+            # than an array lookup on the few entries of a boundary line
+            self.at = memoryview(self._table)
+        else:
+            self._table = None
+            self._sorted_pos = np.argsort(ranks).astype(np.int32)
+            self._sorted_ranks = ranks[self._sorted_pos]
+            # at[r] is r, searched for by sort_entries
+            self.at = range(n_ranks)
+
+    def array(self, ranks) -> np.ndarray:
+        """The positions of cells of the level, given by rank, as an array."""
+        if self._table is not None:
+            return self._table[np.asarray(ranks, dtype=np.intp)]
+        return self._sorted_pos[np.searchsorted(self._sorted_ranks, ranks)]
+
+    def sort_entries(self, out: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        """(at[rank], sign) pairs of cells of the level, in place, made
+        (position, sign) pairs sorted by position."""
+        if self._table is None:
+            out[:] = zip(self.array([r for r, _ in out]).tolist(), [s for _, s in out])
+        out.sort(key=_first)
+        return out
 
     def __getitem__(self, cell) -> int:
         try:
-            i = self._by_rank.get(self._rank(cell))
-        except (TypeError, IndexError):  # not a tuple of admissible vertices
-            i = None
-        # a rank names a cell only among the cells of this dimension
-        if i is None or self._cells[i] != cell:
+            i = int(self.array([self._rank(cell)])[0])
+        except (TypeError, IndexError, OverflowError):  # not a tuple of admissible vertices
+            i = -1
+        if i < 0 or self._cells[i] != cell:
             raise KeyError(cell)
         return i
 
@@ -125,11 +178,13 @@ class FilteredCliqueComplex(_Filtered):
 
     Each level of cliques is built by numpy passes over blocks of the level
     below: a (d+1)-clique grows from a d-clique by a vertex above its last
-    one that lies within the threshold of all its vertices.  Positions are
-    keyed by simplex rank, and the ranks of cofaces and faces are summed
-    from a binomial table, so no vertex tuple is built per row entry.  The
-    apparent pairs of a row dimension are found in one batch pass, the
-    first time they are asked for, and kept as a table."""
+    one that lies within the threshold of all its vertices.  A level keeps
+    its int32 vertex array in filtration order, its births, and positions
+    by simplex rank (see _CliquePositions), but no Python object per cell.
+    The ranks of cofaces and faces are summed from a binomial table, so no
+    vertex tuple is built per row entry.  The apparent pairs of a row
+    dimension are found in one batch pass, the first time they are asked
+    for, and kept as a table."""
 
     kind = "clique"
 
@@ -143,34 +198,33 @@ class FilteredCliqueComplex(_Filtered):
             raise UsageError("dissimilarity must be symmetric")
         if max_dim < 0:
             raise UsageError("max_dim must be nonnegative")
+        self.threshold = t = float(threshold)
+        if math.isnan(t):
+            raise UsageError("threshold must be a number, not NaN")
         # an edge is born no earlier than its vertices, so a simplex is born
         # at the maximum of its vertex births and edge weights
         diag = np.diag(d)
         self.d = np.maximum(d, np.maximum.outer(diag, diag))
         self.n_points = n = d.shape[0]
         self.max_dim = max_dim
-        self.threshold = t = float(threshold)
         # the upper triangle mirrored: the pair {a, b} reads d[min, max]
         # from either side
         self._w = w = np.where(np.tri(n, dtype=bool).T, self.d, self.d.T)
         adjacent = w <= t
         np.fill_diagonal(adjacent, False)
-        self._ids = list(range(n))
-        self._nbrs = [frozenset(map(self._ids.__getitem__, np.flatnonzero(a).tolist())) for a in adjacent]
+        # one int object per vertex id, shared by the neighbour sets
+        ids = list(range(n))
+        self._nbrs = [frozenset(map(ids.__getitem__, np.flatnonzero(a).tolist())) for a in adjacent]
         # _binom[k][v] = C(v, k), for the simplex ranks of up to max_dim + 1
         # vertices; _binom_np is the same table as an array
         self._binom = [[math.comb(v, k) for v in range(n)] for k in range(max_dim + 2)]
         self._binom_np = np.array(self._binom, dtype=_rank_dtype(self._binom)).reshape(max_dim + 2, n)
         self._orders: dict[int, FiltrationOrder] = {}
-        # rank -> position, per dimension: the one stored position map
-        self._by_rank: dict[int, dict[int, int]] = {}
-        # (vertex array, births) of each row dimension, in filtration order
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # row dimension -> its apparent-pair table (see _apparent_pairs)
         self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._build()
 
-    def _common(self, cell: tuple[int, ...]) -> frozenset:
+    def _common(self, cell: Sequence[int]) -> frozenset:
         """Vertices adjacent to every vertex of the cell."""
         return frozenset.intersection(*map(self._nbrs.__getitem__, cell))
 
@@ -215,15 +269,12 @@ class FilteredCliqueComplex(_Filtered):
     def _store(self, dim: int, cells: np.ndarray, births: np.ndarray, ranks: np.ndarray) -> None:
         """Sort a level from lexicographic into (birth, cell) order, in
         place, by one stable sort on birth, and keep its filtration order:
-        vertex tuples, births that share one float per value, positions by
-        rank.  A row dimension also keeps its arrays."""
+        the vertex array, births that share one float per value, and the
+        positions by rank."""
         order = np.argsort(births, kind="stable")
         for a in (cells, births, ranks):
             a[:] = a[order]
         del order
-        tuples: list = []
-        for s in range(0, len(cells), _GROW_BLOCK):
-            tuples += zip(*map(self._vertex_ints, cells[s:s + _GROW_BLOCK].T))
         # runs of equal births, told apart by bits so that 0.0 and -0.0 stay
         bits = births.view(np.int64)
         first = np.ones(len(bits), dtype=bool)
@@ -231,38 +282,28 @@ class FilteredCliqueComplex(_Filtered):
         starts = np.flatnonzero(first)
         counts = np.diff(np.append(starts, len(births)))
         born = list(chain.from_iterable(map(repeat, births[starts].tolist(), counts.tolist())))
-        self._by_rank[dim] = by_rank = dict(zip(ranks.tolist(), range(len(ranks))))
-        self._orders[dim] = FiltrationOrder(dim, tuples, born, _RankPositions(tuples, by_rank, self._rank))
-        if dim < self.max_dim:
-            self._rows[dim] = (cells, births)
+        seq = _CliqueCells(cells)
+        pos = _CliquePositions(seq, ranks, binomial(self.n_points, dim + 1), self._rank)
+        self._orders[dim] = FiltrationOrder(dim, seq, born, pos)
 
-    def _vertex_ints(self, column: np.ndarray) -> list[int]:
-        """A column of vertex ids as Python ints, one int object per vertex:
-        CPython shares the ints up to 256, and larger ones are read from
-        `_ids`."""
-        ints = column.tolist()
-        return ints if self.n_points <= 257 else list(map(self._ids.__getitem__, ints))
-
-    def faces(self, cell: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-        """(face, sign) pairs: omitting the k-th vertex carries (-1)^k."""
-        return [(cell[:k] + cell[k + 1:], -1 if k % 2 else 1) for k in range(len(cell))]
-
-    def _face_entries(self, cell: tuple[int, ...], order: FiltrationOrder, minus: int) -> list[tuple[int, int]]:
-        """(position in `order` of the face, sign mapped by `minus`) pairs,
-        sorted.  The face omitting vertex k keeps C(v, j+1) for the vertices
-        j before it and moves the vertices after it down to C(v, j)."""
-        b, by_rank = self._binom, self._by_rank[order.dim]
-        below, above = 0, sum([b[j][v] for j, v in enumerate(cell)])
+    def _col_entries(self, n: int, j: int, minus: int) -> list[tuple[int, int]]:
+        """Column j of the boundary from dimension n: (position, sign mapped
+        by `minus`) pairs of the faces of cell j, sorted.  The face omitting
+        vertex k keeps C(v, m+1) for the vertices m before it and moves the
+        vertices after it down to C(v, m)."""
+        cell = self._orders[n].cells.vertices[j].tolist()
+        pos = self._orders[n - 1].pos
+        at, b = pos.at, self._binom
+        below, above = 0, sum([b[m][v] for m, v in enumerate(cell)])
         out, s = [], 1
         for k, v in enumerate(cell):
             above -= b[k][v]
-            out.append((by_rank[below + above], s))
+            out.append((at[below + above], s))
             below += b[k + 1][v]
             s = 1 if k & 1 else minus
-        out.sort(key=_first)
-        return out
+        return pos.sort_entries(out)
 
-    def _runs(self, cell: tuple[int, ...], minus: int = -1):
+    def _runs(self, cell: Sequence[int], minus: int):
         """The sorted common neighbours of the cell, cut into the runs that
         go in at one slot k: (k, 1 or `minus` for odd k, run)."""
         vs = sorted(self._common(cell))
@@ -272,22 +313,17 @@ class FilteredCliqueComplex(_Filtered):
             yield k, minus if k & 1 else 1, vs[lo:hi]
             lo = hi
 
-    def cofaces(self, cell: tuple[int, ...], dim: int) -> list[tuple[tuple[int, ...], int]]:
-        """(coface, sign) pairs among admitted (dim+1)-cells, ascending by the
-        added vertex; inserting it at slot k carries (-1)^k."""
-        if dim >= self.max_dim:
-            return []
-        return [(cell[:k] + (v,) + cell[k:], s) for k, s, run in self._runs(cell) for v in run]
-
-    def _coface_entries(self, cell: tuple[int, ...], order: FiltrationOrder, minus: int) -> list[tuple[int, int]]:
-        """(position in `order` of the coface, sign mapped by `minus`) pairs,
-        sorted.  The coface that puts v at slot k has rank base[k] + C(v, k+1),
-        where base[k] ranks the cell's vertices, those from slot k on moved
-        up one."""
-        b, by_rank = self._binom, self._by_rank[order.dim]
-        base = [sum(b[j + 1 + (j >= k)][v] for j, v in enumerate(cell)) for k in range(len(cell) + 1)]
-        return sorted([(by_rank[base[k] + b[k + 1][v]], c)
-                       for k, c, run in self._runs(cell, minus) for v in run], key=_first)
+    def _row_entries(self, n: int, i: int, minus: int) -> list[tuple[int, int]]:
+        """Row i of the boundary from dimension n: (position, sign mapped by
+        `minus`) pairs of the cofaces of cell i, sorted.  The coface that
+        puts v at slot k has rank base[k] + C(v, k+1), where base[k] ranks
+        the cell's vertices, those from slot k on moved up one."""
+        cell = self._orders[n - 1].cells.vertices[i].tolist()
+        pos = self._orders[n].pos
+        at, b = pos.at, self._binom
+        base = [sum(b[m + 1 + (m >= k)][v] for m, v in enumerate(cell)) for k in range(len(cell) + 1)]
+        return pos.sort_entries([(at[base[k] + b[k + 1][v]], c)
+                                 for k, c, run in self._runs(cell, minus) for v in run])
 
     def _apparent_pair(self, dim: int, i: int, minus: int) -> Optional[tuple[int, int]]:
         """(column, 1 or `minus`) of the leading entry of row i of the
@@ -317,10 +353,11 @@ class FilteredCliqueComplex(_Filtered):
             return self._pairs[dim]
         if not 0 <= dim < self.max_dim:
             raise UsageError(f"no boundary rows in dimension {dim}")
-        cells, births = self._rows[dim]
+        cells = self._orders[dim].cells.vertices
+        births = np.array(self._orders[dim].births)
         cols = np.full(len(births), -1, dtype=np.int32)
         odd = np.zeros(len(births), dtype=bool)
-        face_pos, coface_pos = self._positions(dim), self._positions(dim + 1)
+        face_pos, coface_pos = self._orders[dim].pos.array, self._orders[dim + 1].pos.array
         w, b = self._w, self._binom_np
         # _binom rows for the vertices of a coface at its slots, kept (l + 1)
         # or moved down one (l) by an omitted vertex before them
@@ -358,14 +395,6 @@ class FilteredCliqueComplex(_Filtered):
                 odd[s + r] = x > u
         self._pairs[dim] = cols, odd
         return cols, odd
-
-    def _positions(self, dim: int):
-        """The rank -> position map of a dimension as a vectorised lookup."""
-        by_rank = self._by_rank[dim]
-        ranks = np.fromiter(by_rank, dtype=self._binom_np.dtype, count=len(by_rank))
-        pos = np.argsort(ranks)
-        ranks = ranks[pos]
-        return lambda query: pos[np.searchsorted(ranks, query)]
 
 
 class FilteredCubicalComplex(_Filtered):
@@ -435,13 +464,15 @@ class FilteredCubicalComplex(_Filtered):
                     if c in pos_up]
         return out
 
-    def _face_entries(self, cell, order: FiltrationOrder, minus: int) -> list[tuple[int, int]]:
-        """(position in `order` of the face, sign mapped by `minus`), sorted."""
-        return _signed(self.faces(cell), order.pos, minus)
+    def _col_entries(self, n: int, j: int, minus: int) -> list[tuple[int, int]]:
+        """(position of the face, sign mapped by `minus`) pairs of cell j of
+        dimension n, sorted."""
+        return _signed(self.faces(self._orders[n].cells[j]), self._orders[n - 1].pos, minus)
 
-    def _coface_entries(self, cell, order: FiltrationOrder, minus: int) -> list[tuple[int, int]]:
-        """(position in `order` of the coface, sign mapped by `minus`), sorted."""
-        return _signed(self.cofaces(cell, order.dim - 1), order.pos, minus)
+    def _row_entries(self, n: int, i: int, minus: int) -> list[tuple[int, int]]:
+        """(position of the coface, sign mapped by `minus`) pairs of cell i of
+        dimension n - 1, sorted."""
+        return _signed(self.cofaces(self._orders[n - 1].cells[i], n - 1), self._orders[n].pos, minus)
 
 
 def build_order(complex_, dims) -> dict[int, FiltrationOrder]:
@@ -476,11 +507,11 @@ class BoundaryOracle(MatrixOracle):
 
     def col(self, j: int) -> SparseVector:
         self._check_col(j)
-        return self._vector(self.complex._face_entries(self.cols_order.cells[j], self.rows_order, self._minus))
+        return self._vector(self.complex._col_entries(self.n, j, self._minus))
 
     def row(self, i: int) -> SparseVector:
         self._check_row(i)
-        return self._vector(self.complex._coface_entries(self.rows_order.cells[i], self.cols_order, self._minus))
+        return self._vector(self.complex._row_entries(self.n, i, self._minus))
 
     def pareto_leading(self, i: int) -> Optional[tuple[int, int]]:
         """A lookup in the complex's apparent-pair table of this row

@@ -354,7 +354,9 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
     counter = OpCounter() if opts.counters else None
     clear_rows = opts.clear_rows if (opts.clearing and opts.clear_rows) else frozenset()
 
-    rbar_rows: dict[int, dict[int, int]] = {}  # pivot row -> its (R_rr)^-1 row, by absolute index
+    # pivot row -> its (R_rr)^-1 row, by absolute index; an apparent pair's
+    # row is the unit row, kept implicitly
+    rbar_rows: dict[int, dict[int, int]] = {}
     row_of_lead: dict[int, int] = {}  # matched column -> pivot row
     coeff_of_lead: dict[int, int] = {}  # matched column -> matching coefficient
     pairs: list[tuple[int, int, int]] = []
@@ -386,7 +388,6 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
                     raise InternalInconsistencyError(
                         "pareto-leading column is already matched"
                     )
-                rbar_rows[i] = {i: 1}
                 row_of_lead[k] = i
                 coeff_of_lead[k] = a
                 pairs.append((i, k, a))
@@ -416,20 +417,25 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
             neg_lam = f.neg(lam)
             # the reduced pivot row j is row_j(rbar) * D restricted to pivots
             work.push_value(k, a)
-            for jj, w in rbar_rows[j].items():
+            ops = rbar_rows[j].items() if j in rbar_rows else ((j, 1),)
+            for jj, w in ops:
                 work.push_iter(d_row(jj), f.mul(neg_lam, w))
-            _accumulate(vec, neg_lam, rbar_rows[j].items(), f.p)
+            _accumulate(vec, neg_lam, ops, f.p)
             if counter is not None:
                 counter.eliminations += 1
 
     matching = MatchingArray(m, n, pairs)
-    k = matching.rank
+    # rbar in CSR form, one row per pivot row in order; rho is sorted, so
+    # sorting a row by absolute index sorts it by pivot-row position
     pos = matching.rho_pos
-    rbar = StoredCsMatrix.from_row_dicts(
-        f, k, k,
-        {pos[r]: {pos[j]: v for j, v in row.items()} for r, row in rbar_rows.items()},
-        columns=True,
-    )
+    row_ptr, col_idx, vals = [0], [], []
+    for r in matching.rho:
+        for j, v in sorted(rbar_rows[r].items()) if r in rbar_rows else ((r, 1),):
+            col_idx.append(pos[j])
+            vals.append(v)
+        row_ptr.append(len(col_idx))
+    k = matching.rank
+    rbar = StoredCsMatrix(f, k, k, row_ptr, col_idx, vals, columns=True)
     return CompressedUmatch(d, matching, rbar, stats=counter)
 
 

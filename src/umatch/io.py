@@ -210,5 +210,6 @@ def barcode_json(engine, dims) -> dict:
 
 
 def dump_json(obj, out: TextIO) -> None:
-    json.dump(obj, out, indent=2, sort_keys=True, allow_nan=False)
-    out.write("\n")
+    """obj as indented JSON with sorted keys and a final newline, in one
+    write: json.dump would make a write per token."""
+    out.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")

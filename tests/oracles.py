@@ -239,6 +239,40 @@ def clique_reference(dissimilarity, max_dim: int, threshold: float):
     return out
 
 
+def cubical_reference(pixels):
+    """Every cell of the cubical grid on a pixel array, by brute force over
+    anchors and extents: {dim: [(birth, (anchor, extent))] sorted}.  A cell
+    spans its anchor pixel and one step along each axis of its extent, and
+    is born at the largest pixel it spans."""
+    shape = pixels.shape
+    out = {dim: [] for dim in range(len(shape) + 1)}
+    for steps in itertools.product((0, 1), repeat=len(shape)):
+        extent = tuple(ax for ax, step in enumerate(steps) if step)
+        for anchor in itertools.product(*(range(size - step) for size, step in zip(shape, steps))):
+            corners = itertools.product(*(range(a, a + step + 1) for a, step in zip(anchor, steps)))
+            birth = max(float(pixels[c]) for c in corners)
+            out[len(extent)].append((birth, (anchor, extent)))
+    return {dim: sorted(cells) for dim, cells in out.items()}
+
+
+def boundary_reference(ref, n: int, p: int, faces_signed):
+    """Columns of the boundary from dimension n to n - 1 of a complex given
+    as a reference {dim: [(birth, cell)]} and its (face, sign) enumerator:
+    sorted (row, coefficient) lists."""
+    pos = {cell: i for i, (_, cell) in enumerate(ref[n - 1])}
+    return [sorted((pos[face], sign % p) for face, sign in faces_signed(cell)) for _, cell in ref[n]]
+
+
+def pareto_reference(cols):
+    """(i, j) where entry (i, j) leads row i and is the lowest of column j,
+    for a matrix given by its sorted (row, coefficient) columns."""
+    lead = {}
+    for j in range(len(cols) - 1, -1, -1):
+        for i, _ in cols[j]:
+            lead[i] = j
+    return frozenset((i, j) for i, j in lead.items() if cols[j][-1][0] == i)
+
+
 def dense_boundary(complex_, n: int, p: int, value_cutoff=None):
     """Dense boundary matrix of dimension n, rows/cols in filtration order,
     optionally restricted to cells born at or before value_cutoff."""

@@ -67,6 +67,22 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nan_threshold_exits_2(tmp_path, capsys):
+    d = tmp_path / "t.csv"
+    d.write_text("0,1,2\n1,0,1.5\n2,1.5,0\n")
+    out = tmp_path / "bars.json"
+    assert main(["barcode", str(d), "--input-type", "distances", "--threshold", "nan",
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN" in err
+    assert not out.exists()
+    # an infinite threshold admits every simplex
+    assert main(["barcode", str(d), "--input-type", "distances", "--threshold", "inf",
+                 "--output", str(out)]) == 0
+    bars = json.loads(out.read_text())["bars"]
+    assert [b["death"] for b in bars if b["dimension"] == 0] == [None, 1.0, 1.5]
+
+
 @pytest.mark.parametrize("command", [
     ["barcode"],
     ["generators"],

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umatch import GF, PersistenceEngine, UsageError, boundary_oracle, build_order
 from umatch import complexes
@@ -19,8 +20,17 @@ from umatch.complexes import (
 from umatch.datasets import circle_complex, er_complex
 from umatch.decompose import pareto_pairs
 
-from conftest import clique_inputs
-from oracles import clique_reference, dense_boundary, mat_mul, simplex_faces_signed
+from conftest import clique_inputs, image_inputs
+from oracles import (
+    boundary_reference,
+    clique_reference,
+    cube_faces_signed,
+    cubical_reference,
+    dense_boundary,
+    mat_mul,
+    pareto_reference,
+    simplex_faces_signed,
+)
 
 
 def equilateral3():
@@ -333,3 +343,138 @@ def test_object_ranks_give_the_same_complex(monkeypatch):
     cx = FilteredCliqueComplex(d, 3, 1.0)
     assert cx._binom_np.dtype == object
     assert_matches_reference(cx, d, 3, 1.0)
+
+
+def assert_against_tuples(cx, d, max_dim, threshold, p=7):
+    """Cells, births, `pos`, rows and columns of a clique complex as a plain
+    tuple-keyed reference has them, every vertex and position a Python
+    int."""
+    ref = clique_reference(d, max_dim, threshold)
+    ref_pos = {dim: {c: i for i, (_, c) in enumerate(ref[dim])} for dim in ref}
+    for dim in ref:
+        order = cx.order(dim)
+        assert order.cells == [c for _, c in ref[dim]]
+        assert order.births == [b for b, _ in ref[dim]]
+        assert all(type(v) is int for c in order.cells for v in c)
+        assert all(order.pos[c] == i for c, i in ref_pos[dim].items())
+    for n in range(1, max_dim + 1):
+        oracle = boundary_oracle(cx, n, GF(p))
+        rows = [[] for _ in range(oracle.nrows)]
+        for j, col in enumerate(boundary_reference(ref, n, p, simplex_faces_signed)):
+            entries = oracle.col(j).entries
+            assert list(entries) == col and all(type(i) is int for i, _ in entries)
+            for i, v in col:
+                rows[i].append((j, v))
+        for i, row in enumerate(rows):
+            entries = oracle.row(i).entries
+            assert list(entries) == row
+            assert all(type(j) is int and type(v) is int for j, v in entries)
+
+
+def test_cells_compare_as_lists_of_int_tuples():
+    cx = er_complex(9, seed=3, max_dim=2)
+    again = FilteredCliqueComplex(cx.d, 2, cx.threshold)
+    for dim in range(3):
+        cells = cx.order(dim).cells
+        as_list = list(cells)
+        assert cells == as_list and as_list == cells and not cells != as_list
+        assert cells == again.order(dim).cells
+        assert cells[1:4] == as_list[1:4] and cells[-1] == as_list[-1]
+        assert all(type(c) is tuple and all(type(v) is int for v in c) for c in as_list)
+        assert cells != as_list[:-1] and cells != as_list[::-1]
+        assert cells != tuple(as_list)
+        with pytest.raises(IndexError):
+            cells[len(as_list)]
+    # different levels, and the same level of different complexes, differ
+    assert cx.order(1).cells != cx.order(2).cells
+    fewer = FilteredCliqueComplex(cx.d, 2, float(np.median(cx.d)))
+    assert fewer.order(2).cells != cx.order(2).cells
+    empty = FilteredCliqueComplex(np.zeros((2, 2)), 3, 1.0)
+    assert empty.order(2).cells == [] and empty.order(3).cells == empty.order(3).cells
+
+
+@pytest.mark.parametrize("n_points", [4, 9])
+def test_pos_rejects_what_is_not_a_cell(n_points):
+    # one triangle on vertices 0, 1, 2, and far from it, vertices from 3 on;
+    # with 9 vertices, the edges and the triangle are found by search
+    d = np.full((n_points, n_points), 0.9)
+    np.fill_diagonal(d, 0.0)
+    for (a, b), x in {(0, 1): .1, (0, 2): .2, (1, 2): .3}.items():
+        d[a, b] = d[b, a] = x
+    cx = FilteredCliqueComplex(d, max_dim=2, threshold=0.5)
+    pos0, pos1, pos2 = (cx.order(k).pos for k in range(3))
+    assert [pos._table is None for pos in (pos0, pos1, pos2)] == [False] + [n_points == 9] * 2
+    assert pos1[(1, 2)] == 2 and pos2[(0, 1, 2)] == 0 and pos0.get((3,)) == 3
+    misses = [
+        (pos1, (1,)), (pos1, (0, 1, 2)), (pos2, (0, 1)),   # another dimension
+        (pos1, (0, 3)), (pos2, (0, 1, 3)),                  # beyond the threshold
+        (pos1, (2, 1)), (pos1, (1, 1)),                     # unsorted, repeated
+        (pos0, (-1,)), (pos1, (-2, 1)), (pos1, (0, 4)),     # not a vertex
+        (pos1, (0, 10 ** 30)), (pos0, (2 ** 63,)),
+        (pos1, [0, 1]), (pos0, 0), (pos1, "ab"), (pos1, (0.0, 1.0)), (pos0, None),
+    ]
+    for pos, cell in misses:
+        assert cell not in pos and pos.get(cell) is None and pos.get(cell, -1) == -1
+        with pytest.raises(KeyError):
+            pos[cell]
+    assert list(pos1) == list(cx.order(1).cells) and len(pos1) == 3
+
+
+def test_dense_and_searched_positions_match_reference():
+    d = complexes.euclidean_metric(np.random.default_rng(11).random((14, 2)))
+    # every level complete: each one a dense table over all its ranks
+    full = FilteredCliqueComplex(d, 3, math.inf)
+    assert all(full.order(k).pos._table is not None for k in range(4))
+    assert_against_tuples(full, d, 3, math.inf)
+    # a low threshold leaves the upper levels under a quarter of their ranks
+    cut = FilteredCliqueComplex(d, 3, 0.45)
+    assert cut.order(0).pos._table is not None
+    assert [cut.order(k).pos._table is None for k in (2, 3)] == [True, True]
+    assert cut.n_cells(3) > 0
+    assert_against_tuples(cut, d, 3, 0.45)
+
+
+def test_more_vertices_than_cpython_shares_ints():
+    rnd = np.random.default_rng(5)
+    pts = rnd.random((300, 2))
+    for threshold, searched in ((0.07, True), (math.inf, False)):
+        cx = clique_from_points(pts, max_dim=1, threshold=threshold)
+        assert cx.n_cells(0) == 300 and (cx.order(1).pos._table is None) == searched
+        assert cx.order(0).cells[299] == (299,)
+        assert_against_tuples(cx, cx.d, 1, threshold)
+
+
+def test_clique_complex_memory():
+    import gc
+    import tracemalloc
+
+    d = er_complex(50, seed=0, max_dim=2).d
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cx = FilteredCliqueComplex(d, 2, float(d.max()))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cx.n_cells(2) == 19600
+    assert retained <= 1.5 * 2 ** 20
+
+
+@settings(max_examples=80, deadline=None)
+@given(image_inputs(), st.sampled_from([2, 3, 7]))
+def test_cubical_complex_matches_tuple_reference(pixels, p):
+    cx = FilteredCubicalComplex(pixels)
+    ref = cubical_reference(pixels)
+    for dim in ref:
+        assert cx.order(dim).cells == [c for _, c in ref[dim]]
+        assert cx.order(dim).births == [b for b, _ in ref[dim]]
+    for n in range(1, cx.max_dim + 1):
+        oracle = boundary_oracle(cx, n, GF(p))
+        cols = boundary_reference(ref, n, p, cube_faces_signed)
+        rows = [[] for _ in range(oracle.nrows)]
+        for j, col in enumerate(cols):
+            assert list(oracle.col(j).entries) == col
+            for i, v in col:
+                rows[i].append((j, v))
+        assert [list(oracle.row(i).entries) for i in range(oracle.nrows)] == rows
+        assert pareto_pairs(oracle) == pareto_reference(cols)

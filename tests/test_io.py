@@ -5,6 +5,7 @@ import pytest
 
 from umatch import GF, StoredCsMatrix, UsageError
 from umatch.io import (
+    dump_json,
     read_distance_csv,
     read_image_text,
     read_points_csv,
@@ -62,3 +63,14 @@ def test_image_text():
         read_image_text(["dims 2 2", "1 2 3"])
     with pytest.raises(UsageError):
         read_image_text(["2 2", "1 2 3 4"])
+
+
+def test_dump_json_bytes():
+    buf = io.StringIO()
+    dump_json({"b": [1, 0.5, None], "a": {"y": "z\u00e9", "x": []}}, buf)
+    assert buf.getvalue() == (
+        '{\n  "a": {\n    "x": [],\n    "y": "z\\u00e9"\n  },\n'
+        '  "b": [\n    1,\n    0.5,\n    null\n  ]\n}\n'
+    )
+    with pytest.raises(ValueError):
+        dump_json({"a": float("nan")}, io.StringIO())
