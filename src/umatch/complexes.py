@@ -29,10 +29,10 @@ from .matrix import MatrixOracle, SparseVector
 # sort key of (position, coefficient) pairs
 _first = itemgetter(0)
 
-# cells per block of the numpy passes that grow a level of cliques and that
-# find apparent pairs; a block holds a few (block x n_points) arrays
-_GROW_BLOCK = 2048
-_PAIR_BLOCK = 1024
+# bytes of one (block x n_points) float array in the numpy passes that grow
+# a level of cliques and that find apparent pairs: a block holds a few such
+# arrays, so a pass's temporaries stay near a fixed size whatever n_points
+_BLOCK_BYTES = 2 ** 17
 
 
 class FiltrationOrder:
@@ -207,6 +207,8 @@ class FilteredCliqueComplex(_Filtered):
         self.d = np.maximum(d, np.maximum.outer(diag, diag))
         self.n_points = n = d.shape[0]
         self.max_dim = max_dim
+        # cells per block of the numpy passes
+        self._block = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
         # the upper triangle mirrored: the pair {a, b} reads d[min, max]
         # from either side
         self._w = w = np.where(np.tri(n, dtype=bool).T, self.d, self.d.T)
@@ -253,8 +255,8 @@ class FilteredCliqueComplex(_Filtered):
         above = np.arange(self.n_points)
         parts = []
         # one block runs even when the level is empty, for the array shapes
-        for s in range(0, max(len(cells), 1), _GROW_BLOCK):
-            block = cells[s:s + _GROW_BLOCK]
+        for s in range(0, max(len(cells), 1), self._block):
+            block = cells[s:s + self._block]
             wmax = _max_rows(self._w, block)
             # nonzero lists (parent, v) row by row: lexicographic order
             p, v = np.nonzero((wmax <= self.threshold) & (above > block[:, -1:]))
@@ -362,10 +364,10 @@ class FilteredCliqueComplex(_Filtered):
         # _binom rows for the vertices of a coface at its slots, kept (l + 1)
         # or moved down one (l) by an omitted vertex before them
         kept, moved = np.arange(1, dim + 3), np.arange(dim + 2)
-        for s in range(0, len(births), _PAIR_BLOCK):
-            block = cells[s:s + _PAIR_BLOCK]
+        for s in range(0, len(births), self._block):
+            block = cells[s:s + self._block]
             rows = np.arange(len(block))
-            cand = _max_rows(w, block) <= births[s:s + _PAIR_BLOCK, None]
+            cand = _max_rows(w, block) <= births[s:s + self._block, None]
             cand[rows[:, None], block] = False
             found = cand.any(axis=1)
             r = np.flatnonzero(found)

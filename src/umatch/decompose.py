@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import heapq
 import threading
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from .coeff import Field
@@ -346,8 +348,12 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
     Modified rows are never stored: whenever a pivot row is needed for an
     elimination, it is recomputed as the product of the corresponding stored
     pivot-block row with the rows of d, streamed through a lazy merge heap.
-    The rows of d that eliminations stream are built once per call, kept in
-    a memo that is dropped on return.
+    While it runs, the call holds the matching so far, the pivot-block rows,
+    one merge heap, and a memo of the rows of d that eliminations stream:
+    each is built once per call through d.row and kept compact, so
+    (index, coefficient) pairs are made only for the entries the heap pops;
+    the memo is dropped when the reduction ends.  The pivot block is
+    returned row-major; its column-major twin is built on the first rbar.col.
     """
     f = d.field
     m, n = d.nrows, d.ncols
@@ -360,17 +366,28 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
     row_of_lead: dict[int, int] = {}  # matched column -> pivot row
     coeff_of_lead: dict[int, int] = {}  # matched column -> matching coefficient
     pairs: list[tuple[int, int, int]] = []
-    memo: dict[int, Sequence[tuple[int, int]]] = {}  # row of d -> its entries
+    # row of d -> its compact line: the positions as machine ints, and the
+    # coefficients as bytes when p < 256, a tuple otherwise, or None when
+    # all are 1; (position, coefficient) pairs are made only as the heap
+    # reads them
+    memo: dict[int, tuple[array, Optional[Sequence[int]]]] = {}
+    typecode = "i" if n < 2 ** 31 else "q"
 
-    def d_row(i: int) -> Sequence[tuple[int, int]]:
-        entries = memo.get(i)
-        if entries is None:
-            entries = memo[i] = d.row(i).entries
+    def d_row(i: int) -> Iterable[tuple[int, int]]:
+        line = memo.get(i)
+        if line is None:
+            positions, coeffs = zip(*d.row(i).entries)
+            if coeffs.count(1) == len(coeffs):
+                coeffs = None
+            elif f.p < 256:
+                coeffs = bytes(coeffs)
+            line = memo[i] = array(typecode, positions), coeffs
             if counter is not None:
                 counter.row_fetches += 1
         elif counter is not None:
             counter.row_memo_hits += 1
-        return entries
+        positions, coeffs = line
+        return zip(positions, coeffs or repeat(1))
 
     for i in range(m - 1, -1, -1):
         if i in clear_rows:
@@ -423,6 +440,7 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
             _accumulate(vec, neg_lam, ops, f.p)
             if counter is not None:
                 counter.eliminations += 1
+    memo.clear()
 
     matching = MatchingArray(m, n, pairs)
     # rbar in CSR form, one row per pivot row in order; rho is sorted, so
@@ -435,7 +453,7 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
             vals.append(v)
         row_ptr.append(len(col_idx))
     k = matching.rank
-    rbar = StoredCsMatrix(f, k, k, row_ptr, col_idx, vals, columns=True)
+    rbar = StoredCsMatrix(f, k, k, row_ptr, col_idx, vals)
     return CompressedUmatch(d, matching, rbar, stats=counter)
 
 

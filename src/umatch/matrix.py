@@ -258,8 +258,7 @@ class StoredCsMatrix(MatrixOracle):
     first time column access is requested."""
 
     def __init__(self, field: Field, nrows: int, ncols: int,
-                 row_ptr: list[int], col_idx: list[int], vals: list[int],
-                 columns: bool = False):
+                 row_ptr: list[int], col_idx: list[int], vals: list[int]):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
@@ -267,12 +266,10 @@ class StoredCsMatrix(MatrixOracle):
         self._col_idx = col_idx
         self._vals = vals
         self._csc: Optional[tuple[list[int], list[int], list[int]]] = None
-        if columns:
-            self._build_csc()
 
     @classmethod
     def from_rows(cls, field: Field, nrows: int, ncols: int,
-                  rows: Sequence[Iterable[tuple[int, int]]], columns: bool = False) -> "StoredCsMatrix":
+                  rows: Sequence[Iterable[tuple[int, int]]]) -> "StoredCsMatrix":
         row_ptr = [0]
         col_idx: list[int] = []
         vals: list[int] = []
@@ -291,30 +288,29 @@ class StoredCsMatrix(MatrixOracle):
             row_ptr.append(len(col_idx))
         if len(row_ptr) - 1 != nrows:
             raise UsageError(f"expected {nrows} rows, got {len(row_ptr) - 1}")
-        return cls(field, nrows, ncols, row_ptr, col_idx, vals, columns=columns)
+        return cls(field, nrows, ncols, row_ptr, col_idx, vals)
 
     @classmethod
     def from_row_dicts(cls, field: Field, nrows: int, ncols: int,
-                       rows: dict[int, dict[int, int]], columns: bool = False) -> "StoredCsMatrix":
+                       rows: dict[int, dict[int, int]]) -> "StoredCsMatrix":
         return cls.from_rows(
             field, nrows, ncols,
             [sorted(rows.get(i, {}).items()) for i in range(nrows)],
-            columns=columns,
         )
 
     @classmethod
-    def from_dense(cls, field: Field, array: Sequence[Sequence[int]], columns: bool = False) -> "StoredCsMatrix":
+    def from_dense(cls, field: Field, array: Sequence[Sequence[int]]) -> "StoredCsMatrix":
         nrows = len(array)
         ncols = len(array[0]) if nrows else 0
         rows = [
             [(j, field.normalize(v)) for j, v in enumerate(r) if field.normalize(v)]
             for r in array
         ]
-        return cls.from_rows(field, nrows, ncols, rows, columns=columns)
+        return cls.from_rows(field, nrows, ncols, rows)
 
     @classmethod
     def from_triplets(cls, field: Field, nrows: int, ncols: int,
-                      triples: Iterable[tuple[int, int, int]], columns: bool = False) -> "StoredCsMatrix":
+                      triples: Iterable[tuple[int, int, int]]) -> "StoredCsMatrix":
         acc: dict[int, dict[int, int]] = {}
         for i, j, v in triples:
             if not (0 <= i < nrows and 0 <= j < ncols):
@@ -322,11 +318,11 @@ class StoredCsMatrix(MatrixOracle):
             r = acc.setdefault(i, {})
             r[j] = field.add(r.get(j, 0), field.normalize(v))
         rows = {i: {j: v for j, v in r.items() if v} for i, r in acc.items()}
-        return cls.from_row_dicts(field, nrows, ncols, rows, columns=columns)
+        return cls.from_row_dicts(field, nrows, ncols, rows)
 
     @classmethod
-    def identity(cls, field: Field, n: int, columns: bool = False) -> "StoredCsMatrix":
-        return cls(field, n, n, list(range(n + 1)), list(range(n)), [1] * n, columns=columns)
+    def identity(cls, field: Field, n: int) -> "StoredCsMatrix":
+        return cls(field, n, n, list(range(n + 1)), list(range(n)), [1] * n)
 
     def _build_csc(self) -> None:
         counts = [0] * (self.ncols + 1)

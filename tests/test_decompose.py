@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umatch import (
     GF,
@@ -16,7 +17,7 @@ from umatch import (
     pareto_pairs,
 )
 from umatch.complexes import boundary_oracle
-from umatch.datasets import circle_complex
+from umatch.datasets import circle_complex, er_complex
 from umatch.decompose import clearing_filter
 from umatch.linalg import _invert_unitriangular
 
@@ -382,3 +383,69 @@ def test_compressed_builds_each_row_once():
         assert rbar_rows(u) == pivot_block_reference(d)[1]
         quiet = decompose_compressed(d, DecomposeOptions(pareto=False))
         assert quiet.stats is None and rbar_rows(quiet) == rbar_rows(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 11), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([2, 7, 257, 2 ** 61 - 1]))
+def test_compact_rows_are_exact_in_every_field(n, seed, p):
+    # the memo keeps no coefficients at p = 2, bytes at p = 7 and a tuple at
+    # 257 and 2^61 - 1, whose -1 does not fit in a byte; a clique boundary
+    # and a stored copy of it must decompose alike, count for count
+    cx = er_complex(n, seed=seed, max_dim=2)
+    f = GF(p)
+    prior = None
+    for k in (1, 2):
+        d = boundary_oracle(cx, k, f)
+        stored = StoredCsMatrix.from_rows(f, d.nrows, d.ncols,
+                                          [d.row(i).entries for i in range(d.nrows)])
+        clear = clearing_filter(prior) if prior is not None else None
+        opts = DecomposeOptions(counters=True, clear_rows=clear)
+        u, v = decompose_compressed(d, opts), decompose_compressed(stored, opts)
+        pairs, rbar = pivot_block_reference(d, clear or frozenset())
+        assert list(u.matching.pairs) == list(v.matching.pairs) == pairs
+        assert rbar_rows(u) == rbar_rows(v) == rbar
+        for field in ("row_fetches", "row_memo_hits", "heap_pops", "eliminations",
+                      "pareto_hits"):
+            assert getattr(u.stats, field) == getattr(v.stats, field), field
+        prior = u.matching
+
+
+def test_pivot_block_columns_are_built_on_first_use():
+    f = GF(7)
+    cx = er_complex(12, seed=4, max_dim=2)
+    u1 = decompose_compressed(boundary_oracle(cx, 1, f))
+    u = decompose_compressed(boundary_oracle(cx, 2, f),
+                             DecomposeOptions(clear_rows=clearing_filter(u1.matching)))
+    assert u.rbar._csc is None
+    cols = [[] for _ in range(u.rank)]
+    for q in range(u.rank):
+        for c, v in u.rbar.row(q).entries:
+            cols[c].append((q, v))
+    assert any(len(col) > 1 for col in cols)
+    assert [list(u.rbar.col(q).entries) for q in range(u.rank)] == cols
+    assert u.rbar._csc is not None
+
+
+def test_decomposition_working_set():
+    import gc
+    import tracemalloc
+
+    # the d2 boundary of er n=50 as the engine meets it: d1 decomposed, its
+    # pivot columns cleared, the apparent-pair table of dimension 1 built
+    cx = er_complex(50, seed=0, max_dim=2)
+    f = GF(2)
+    u1 = decompose_compressed(boundary_oracle(cx, 1, f))
+    d = boundary_oracle(cx, 2, f)
+    cx._apparent_pairs(1)
+    opts = DecomposeOptions(clear_rows=clearing_filter(u1.matching), counters=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        u = decompose_compressed(d, opts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert u.stats.row_memo_hits > 0 and u.rank == 1176
+    assert peak - start <= 1.3 * 2 ** 20
