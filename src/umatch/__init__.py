@@ -6,7 +6,6 @@ from .complexes import (
     FilteredCliqueComplex,
     FilteredCubicalComplex,
     boundary_oracle,
-    build_order,
     clique_from_points,
 )
 from .decompose import (

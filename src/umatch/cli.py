@@ -102,9 +102,7 @@ def _add_common_complex_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--keep-empty-bars", action="store_true")
     sp.add_argument("--no-clearing", action="store_true")
     sp.add_argument("--no-pareto", action="store_true")
-    sp.add_argument("--generators-strategy", choices=["exact", "early-stop"], default="exact")
     sp.add_argument("--output", default=None, help="output path (default stdout)")
-    sp.add_argument("--verify", action="store_true")
     sp.add_argument("--input-type", choices=["points", "distances", "image"], default=None)
 
 
@@ -139,7 +137,7 @@ def _build_engine(cx, args) -> PersistenceEngine:
 def cmd_decompose(args) -> int:
     with _output(args.output) as out:
         d = load_triplet_file(args.input)
-        opts = DecomposeOptions(clearing=not args.no_clearing, pareto=not args.no_pareto)
+        opts = DecomposeOptions(pareto=not args.no_pareto)
         u = decompose_compressed(d, opts)
         summary = {
             "rows": d.nrows,
@@ -321,12 +319,11 @@ def _make_variant(name, d, matching):
 BENCH_VARIANTS = ("D", "D_perp", "D_rk", "D_rk_perp")
 
 
-def _bench_one_seed(args, field, seed: int, trace_memory: bool) -> list[dict]:
+def _bench_one_seed(args, field, seed: int) -> list[dict]:
     cx = build_dataset(args.dataset, seed=seed, n=args.n, side=args.side,
                        dim=args.point_dim)
     bench_dim = min(2, cx.max_dim)
-    engine = PersistenceEngine(cx, field, clearing=not args.no_clearing,
-                               pareto=not args.no_pareto)
+    engine = PersistenceEngine(cx, field, pareto=not args.no_pareto)
     d = engine.boundary(bench_dim)
     if d is None:
         return []
@@ -337,8 +334,7 @@ def _bench_one_seed(args, field, seed: int, trace_memory: bool) -> list[dict]:
     matching = full.matching
     lower_dim_bars = len(engine.bars(bench_dim - 1))
     rows = []
-    opts = DecomposeOptions(clearing=not args.no_clearing,
-                            pareto=not args.no_pareto, counters=True)
+    opts = DecomposeOptions(pareto=not args.no_pareto, counters=True)
     for variant in BENCH_VARIANTS:
         # wrapper construction counts toward the timing, so every variant is
         # charged the same matrix-and-matching setup cost
@@ -346,15 +342,13 @@ def _bench_one_seed(args, field, seed: int, trace_memory: bool) -> list[dict]:
         mat = _make_variant(variant, d, matching)
         u = decompose_compressed(mat, opts)
         elapsed = time.perf_counter() - t0
-        peak, heap_source = "", "untraced-parallel"
-        if trace_memory:
-            # tracemalloc slows the code it watches, so the peak comes from a
-            # second, untimed run of the same variant
-            tracemalloc.start()
-            decompose_compressed(_make_variant(variant, d, matching), opts)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            heap_source = "tracemalloc-peak"
+        # tracemalloc slows the code it watches, so the peak comes from a
+        # second, untimed run of the same variant; it traces this process
+        # alone, so a worker process measures its own runs
+        tracemalloc.start()
+        decompose_compressed(_make_variant(variant, d, matching), opts)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
         rows.append({
             "dataset": f"{args.dataset}-{seed}",
             "variant": variant,
@@ -366,7 +360,6 @@ def _bench_one_seed(args, field, seed: int, trace_memory: bool) -> list[dict]:
             "lower_dim_bars": lower_dim_bars,
             "seconds": f"{elapsed:.6f}",
             "peak_heap_bytes": peak,
-            "heap_source": heap_source,
             "eliminations": u.stats.eliminations,
             "heap_pops": u.stats.heap_pops,
             "pareto_hits": u.stats.pareto_hits,
@@ -383,11 +376,9 @@ def cmd_bench(args) -> int:
             # one process per trial: the trials are CPU-bound Python
             workers = min(len(seeds), os.cpu_count() or 1)
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-                chunks = list(pool.map(
-                    functools.partial(_bench_one_seed, args, field, trace_memory=False), seeds
-                ))
+                chunks = list(pool.map(functools.partial(_bench_one_seed, args, field), seeds))
         else:
-            chunks = [_bench_one_seed(args, field, s, trace_memory=True) for s in seeds]
+            chunks = [_bench_one_seed(args, field, s) for s in seeds]
         rows = [r for chunk in chunks for r in chunk]
         if rows:
             writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
@@ -406,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="factor a triplet-format matrix")
     sp.add_argument("input")
     sp.add_argument("--factors", action="store_true", help="dump matching and pivot block")
-    sp.add_argument("--no-clearing", action="store_true")
     sp.add_argument("--no-pareto", action="store_true")
     sp.add_argument("--verify", action="store_true")
     sp.add_argument("--output", default=None)
@@ -414,12 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("barcode", help="barcode of a filtered complex")
     sp.add_argument("input")
+    sp.add_argument("--verify", action="store_true")
     _add_common_complex_flags(sp)
     sp.set_defaults(func=cmd_barcode)
 
     sp = sub.add_parser("generators", help="barcode with cycle representatives")
     sp.add_argument("input")
     sp.add_argument("--dim", type=int, default=None)
+    sp.add_argument("--generators-strategy", choices=["exact", "early-stop"], default="exact")
+    sp.add_argument("--verify", action="store_true")
     _add_common_complex_flags(sp)
     sp.set_defaults(func=cmd_generators)
 
@@ -444,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--field", type=int, default=2)
-    sp.add_argument("--no-clearing", action="store_true")
     sp.add_argument("--no-pareto", action="store_true")
     sp.add_argument("--parallel", action="store_true",
                     help="run independent dataset trials concurrently")

@@ -47,7 +47,7 @@ class FiltrationOrder:
         self.pos = {c: i for i, c in enumerate(cells)} if pos is None else pos
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.births)
 
 
 class _CliqueCells(Sequence):
@@ -332,8 +332,6 @@ class FilteredCliqueComplex(_Filtered):
         boundary from dimension dim + 1 to dim when the two form an apparent
         pair, else None."""
         cols, odd = self._apparent_pairs(dim)
-        if not 0 <= i < len(cols):
-            raise UsageError(f"row {i} out of range")
         j = int(cols[i])
         return None if j < 0 else (j, minus if odd[i] else 1)
 
@@ -477,12 +475,6 @@ class FilteredCubicalComplex(_Filtered):
         return _signed(self.cofaces(self._orders[n - 1].cells[i], n - 1), self._orders[n].pos, minus)
 
 
-def build_order(complex_, dims) -> dict[int, FiltrationOrder]:
-    """Per-dimension filtration orders: cells ascending by (birth value,
-    dimension, canonical cell key), deterministically."""
-    return {n: complex_.order(n) for n in dims}
-
-
 class BoundaryOracle(MatrixOracle):
     """Boundary operator of one dimension, rows indexed by (n-1)-cells and
     columns by n-cells, both in filtration order.  Signs are mapped into the
@@ -531,19 +523,6 @@ def _signed(cells, pos: dict, minus: int) -> list[tuple[int, int]]:
 
 def boundary_oracle(complex_, n: int, field: Field) -> BoundaryOracle:
     return BoundaryOracle(complex_, n, field)
-
-
-def leading_entry_shortcut(complex_, n: int, i: int,
-                           rows_order: Optional[FiltrationOrder] = None,
-                           cols_order: Optional[FiltrationOrder] = None) -> Optional[tuple[int, int]]:
-    """(column, sign) when row i and its leading coface j form an apparent
-    pair (no later row meets column j), None otherwise, read from the
-    complex's apparent-pair table.  Clique complexes only; the orders are
-    always the complex's own, so `rows_order` and `cols_order` are not
-    read."""
-    if complex_.kind != "clique":
-        raise UsageError("leading-entry shortcut applies to clique complexes only")
-    return complex_._apparent_pair(n - 1, i, -1)
 
 
 def torus_metric(points: np.ndarray) -> np.ndarray:

@@ -46,7 +46,6 @@ class OpCounter:
 
 @dataclass(frozen=True)
 class DecomposeOptions:
-    clearing: bool = True
     pareto: bool = True
     counters: bool = False
     clear_rows: Optional[frozenset[int]] = None
@@ -309,19 +308,9 @@ def decompose_full(d: MatrixOracle) -> FullUmatch:
             j = lead_of.get(k)
             if j is None:
                 break
-            lam = f.div(work[k], reduced[j][k])
-            for jj, v in reduced[j].items():
-                nv = f.sub(work.get(jj, 0), f.mul(lam, v))
-                if nv:
-                    work[jj] = nv
-                elif jj in work:
-                    del work[jj]
-            for jj, v in rinv_rows[j].items():
-                nv = f.sub(ops.get(jj, 0), f.mul(lam, v))
-                if nv:
-                    ops[jj] = nv
-                elif jj in ops:
-                    del ops[jj]
+            neg_lam = f.neg(f.div(work[k], reduced[j][k]))
+            _accumulate(work, neg_lam, reduced[j].items(), f.p)
+            _accumulate(ops, neg_lam, rinv_rows[j].items(), f.p)
         rinv_rows[i] = ops
         if work:
             k = min(work)
@@ -358,7 +347,7 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
     f = d.field
     m, n = d.nrows, d.ncols
     counter = OpCounter() if opts.counters else None
-    clear_rows = opts.clear_rows if (opts.clearing and opts.clear_rows) else frozenset()
+    clear_rows = opts.clear_rows or frozenset()
 
     # pivot row -> its (R_rr)^-1 row, by absolute index; an apparent pair's
     # row is the unit row, kept implicitly

@@ -9,7 +9,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .coeff import GF, Field
+from .coeff import GF
 from .errors import UsageError
 from .matrix import MatrixOracle, StoredCsMatrix
 
@@ -70,10 +70,6 @@ def write_triplet_text(out: TextIO, mat: MatrixOracle) -> None:
     for i in range(mat.nrows):
         for j, v in mat.row(i).entries:
             out.write(f"{i + 1} {j + 1} {v}\n")
-
-
-def matching_triplets(matching, field: Field) -> StoredCsMatrix:
-    return matching.to_oracle(field)
 
 
 def read_points_csv(lines: Iterable[str]) -> np.ndarray:

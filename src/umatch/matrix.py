@@ -134,63 +134,24 @@ def scale(alpha, x: SparseVector) -> SparseVector:
 
 
 def axpy(alpha, x: SparseVector, y: SparseVector) -> SparseVector:
-    """alpha * x + y by a sorted merge with on-the-fly cancellation."""
+    """alpha * x + y, scattered onto a dict of y's entries."""
     f = x.field
     if y.field != f:
         raise UsageError("axpy operands lie in different fields")
     a = _alpha_value(f, alpha)
     if a == 0:
         return y
-    xe, ye = x.entries, y.entries
-    out: list[tuple[int, int]] = []
-    i = j = 0
-    nx, ny = len(xe), len(ye)
-    while i < nx and j < ny:
-        xi, xv = xe[i]
-        yj, yv = ye[j]
-        if xi < yj:
-            out.append((xi, f.mul(a, xv)))
-            i += 1
-        elif yj < xi:
-            out.append((yj, yv))
-            j += 1
-        else:
-            v = f.add(f.mul(a, xv), yv)
-            if v:
-                out.append((xi, v))
-            i += 1
-            j += 1
-    while i < nx:
-        xi, xv = xe[i]
-        out.append((xi, f.mul(a, xv)))
-        i += 1
-    out.extend(ye[j:])
-    return SparseVector(f, tuple(out), _checked=True)
-
-
-def add_vec(x: SparseVector, y: SparseVector) -> SparseVector:
-    return axpy(1, x, y)
+    acc = dict(y.entries)
+    _accumulate(acc, a, x.entries, f.p)
+    return SparseVector(f, tuple(sorted(acc.items())), _checked=True)
 
 
 def dot(x: SparseVector, y: SparseVector) -> int:
     f = x.field
     if y.field != f:
         raise UsageError("dot operands lie in different fields")
-    acc = 0
-    i = j = 0
-    xe, ye = x.entries, y.entries
-    while i < len(xe) and j < len(ye):
-        xi, xv = xe[i]
-        yj, yv = ye[j]
-        if xi < yj:
-            i += 1
-        elif yj < xi:
-            j += 1
-        else:
-            acc = f.add(acc, f.mul(xv, yv))
-            i += 1
-            j += 1
-    return acc
+    xs = x.to_dict()
+    return sum(v * xs.get(i, 0) for i, v in y.entries) % f.p
 
 
 class MatrixOracle:

@@ -148,25 +148,20 @@ class PersistenceEngine:
         self._orders = {n: complex_.order(n) for n in range(self.max_dim + 1)}
         self._boundaries = {}
         self._umatch: dict[int, CompressedUmatch] = {}
-        self._matchings: dict[int, MatchingArray] = {}
         prior: Optional[MatchingArray] = None
         for n in range(1, self.max_dim + 1):
             d = boundary_oracle(complex_, n, field)
             self._boundaries[n] = d
             clear = clearing_filter(prior) if (clearing and prior is not None) else None
-            opts = DecomposeOptions(
-                clearing=clearing, pareto=pareto, counters=counters,
-                clear_rows=clear,
-            )
+            opts = DecomposeOptions(pareto=pareto, counters=counters, clear_rows=clear)
             u = decompose_compressed(d, opts)
             self._umatch[n] = u
-            self._matchings[n] = u.matching
             prior = u.matching
 
     # -- structure accessors -------------------------------------------
 
     def order(self, n: int):
-        return self._orders.get(n) or self.complex.order(n)
+        return self._orders[n] if n in self._orders else self.complex.order(n)
 
     def boundary(self, n: int):
         if n in self._boundaries:
@@ -177,12 +172,11 @@ class PersistenceEngine:
         return self._umatch.get(n)
 
     def matching(self, n: int) -> MatchingArray:
-        m = self._matchings.get(n)
-        if m is None:
-            rows = len(self.order(n - 1)) if n >= 1 else 0
-            cols = len(self.order(n))
-            m = MatchingArray(rows, cols, ())
-        return m
+        u = self._umatch.get(n)
+        if u is not None:
+            return u.matching
+        rows = len(self.order(n - 1)) if n >= 1 else 0
+        return MatchingArray(rows, len(self.order(n)), ())
 
     def global_index(self, n: int, pos: int) -> int:
         """Index of cell `pos` of dimension n in the order of all cells by
@@ -259,20 +253,11 @@ class PersistenceEngine:
         self._check_bar(bar)
         if strategy not in ("exact", "early_stop"):
             raise UsageError(f"unknown strategy {strategy!r}")
-        n = bar.dim
-        if bar.finite:
-            u = self._umatch[n + 1]
-            if strategy == "early_stop":
-                col = early_stop_solve(u, self.matching(n + 1).col_of_row[bar.birth_pos])
-                vec = matvec(u.d, col)
-            else:
-                vec = retrieve(u, RetrievalTarget("R", "col", bar.birth_pos))
-            return Chain(n, self._normalize(vec))
-        if n == 0:
-            return Chain(0, SparseVector.unit(self.field, bar.birth_pos))
-        u = self._umatch[n]
-        vec = retrieve(u, RetrievalTarget("C", "col", bar.birth_pos))
-        return Chain(n, self._normalize(vec))
+        if strategy == "early_stop" and bar.finite:
+            u = self._umatch[bar.dim + 1]
+            col = early_stop_solve(u, u.matching.col_of_row[bar.birth_pos])
+            return Chain(bar.dim, self._normalize(matvec(u.d, col)))
+        return self._jordan_column(bar.dim, bar.birth_pos)
 
     def cocycle_representative(self, bar: Bar) -> Cochain:
         """A relative cocycle for the bar, read off the inverse Jordan basis:
@@ -293,16 +278,19 @@ class PersistenceEngine:
     def jordan_column(self, g: int) -> Chain:
         """Column g of a filtered Jordan basis of the total boundary matrix:
         the reduced column at matched rows, the domain column elsewhere."""
-        n, pos = self.global_cell(g)
-        up = self.matching(n + 1)
-        if pos in up.col_of_row:
-            u = self._umatch[n + 1]
-            vec = retrieve(u, RetrievalTarget("R", "col", pos))
-            return Chain(n, self._normalize(vec))
-        if n == 0:
+        return self._jordan_column(*self.global_cell(g))
+
+    def _jordan_column(self, n: int, pos: int) -> Chain:
+        """The Jordan column of cell pos of dimension n: column pos of R
+        when the cell is a matched row of the boundary above it, the unit
+        vector in dimension 0, and column pos of C elsewhere."""
+        up = self._umatch.get(n + 1)
+        if up is not None and pos in up.matching.col_of_row:
+            vec = retrieve(up, RetrievalTarget("R", "col", pos))
+        elif n == 0:
             return Chain(0, SparseVector.unit(self.field, pos))
-        u = self._umatch[n]
-        vec = retrieve(u, RetrievalTarget("C", "col", pos))
+        else:
+            vec = retrieve(self._umatch[n], RetrievalTarget("C", "col", pos))
         return Chain(n, self._normalize(vec))
 
     # -- saecular lattice -------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .decompose import CompressedUmatch, OpCounter
 from .errors import InternalInconsistencyError, UsageError
-from .matrix import MatrixOracle, SparseVector, _accumulate, _gather, add_vec, scale
+from .matrix import MatrixOracle, SparseVector, _accumulate, _gather, axpy, scale
 
 _TARGET_KINDS = ("R", "Rinv", "C", "Cinv")
 _AXES = ("row", "col")
@@ -224,8 +224,8 @@ class _Retriever:
                             for q, v in x.entries)
         z = _product(u.rbar.row, x, self.counter)
         full = _product(u.d.row, u.lift(z, u.rho), self.counter)
-        return add_vec(SparseVector(f, tuple(kappa_part), _checked=True),
-                       _outside(full, u.kappa_pos))
+        return axpy(1, SparseVector(f, tuple(kappa_part), _checked=True),
+                    _outside(full, u.kappa_pos))
 
     # -- columns -------------------------------------------------------
 
@@ -236,7 +236,7 @@ class _Retriever:
             return SparseVector.unit(self.f, i)
         w = u.rbar.col(q)
         full = _product(u.d.col, u.lift(self.solve_a_left(w), u.kappa), self.counter)
-        return add_vec(u.lift(w, u.rho), _outside(full, u.rho_pos))
+        return axpy(1, u.lift(w, u.rho), _outside(full, u.rho_pos))
 
     def col_r(self, i: int) -> SparseVector:
         u = self.u

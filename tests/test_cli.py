@@ -264,7 +264,7 @@ def test_bench_command(tmp_path):
     variants = {r["variant"] for r in rows}
     assert variants == {"D", "D_perp", "D_rk", "D_rk_perp"}
     for r in rows:
-        assert r["heap_source"] == "tracemalloc-peak"
+        assert "heap_source" not in r and int(r["peak_heap_bytes"]) > 0
     # the matching has the same rank across all four variants of one dataset
     by_ds = {}
     for r in rows:
@@ -292,7 +292,8 @@ def test_bench_parallel_flag(tmp_path):
                  "--parallel", "--output", str(out)]) == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 8
-    assert all(r["heap_source"] == "untraced-parallel" for r in rows)
+    # each worker traces its own untimed runs, as the serial mode does
+    assert all("heap_source" not in r and int(r["peak_heap_bytes"]) > 0 for r in rows)
 
 
 def test_bench_degenerate_tiny_graph(tmp_path):
@@ -309,6 +310,20 @@ def test_unknown_subquery_rejected(tmp_path, capsys):
     d.write_text("0 1\n1 0\n")
     with pytest.raises(SystemExit):
         main(["query", str(d), "nonsense"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "m.txt", "--no-clearing"],
+    ["bench", "er", "--no-clearing"],
+    ["barcode", "d.csv", "--generators-strategy", "exact"],
+    ["query", "d.csv", "retrieve", "--generators-strategy", "exact"],
+    ["query", "d.csv", "retrieve", "--verify"],
+])
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bench_circle_20_reports_one_h1_bar(tmp_path):

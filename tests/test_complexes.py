@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umatch import GF, PersistenceEngine, UsageError, boundary_oracle, build_order
+from umatch import GF, PersistenceEngine, UsageError, boundary_oracle
 from umatch import complexes
 from umatch.complexes import (
     FilteredCliqueComplex,
     FilteredCubicalComplex,
     clique_from_points,
-    leading_entry_shortcut,
     simplex_rank,
     torus_metric,
 )
@@ -40,7 +39,7 @@ def equilateral3():
 
 def test_build_order_three_points():
     cx = equilateral3()
-    orders = build_order(cx, range(3))
+    orders = [cx.order(n) for n in range(3)]
     assert orders[0].cells == [(0,), (1,), (2,)]
     assert orders[0].births == [0.0, 0.0, 0.0]
     assert orders[1].cells == [(0, 1), (0, 2), (1, 2)]
@@ -170,16 +169,17 @@ def test_simplex_rank_is_injective_within_dimension():
 
 
 def test_leading_entry_shortcut_triangle():
-    cx = equilateral3()
+    f = GF(2)
+    d2 = boundary_oracle(equilateral3(), 2, f)
     # the last edge in the order pairs with the triangle
-    hit = leading_entry_shortcut(cx, 2, 2)
+    hit = d2.pareto_leading(2)
     assert hit is not None
     assert hit[0] == 0
     # earlier edges do not short-circuit: the triangle's last facet is edge 2
-    assert leading_entry_shortcut(cx, 2, 0) is None
+    assert d2.pareto_leading(0) is None
     # a vertex with no coface under the threshold yields nothing
     iso = FilteredCliqueComplex(np.array([[0.0, 5.0], [5.0, 0.0]]), 1, 1.0)
-    assert leading_entry_shortcut(iso, 1, 0) is None
+    assert boundary_oracle(iso, 1, f).pareto_leading(0) is None
 
 
 def test_shortcut_agrees_with_pareto_pairs():
@@ -190,14 +190,14 @@ def test_shortcut_agrees_with_pareto_pairs():
             d = boundary_oracle(cx, n, f)
             pareto = pareto_pairs(d)
             for i in range(d.nrows):
-                hit = leading_entry_shortcut(cx, n, i)
+                hit = d.pareto_leading(i)
                 if hit is not None:
                     assert (i, hit[0]) in pareto
                     lead = d.row(i).leading()
                     assert lead is not None and lead[0] == hit[0]
             # every pareto pair is found by the shortcut
             for (i, j) in pareto:
-                hit = leading_entry_shortcut(cx, n, i)
+                hit = d.pareto_leading(i)
                 assert hit is not None and hit[0] == j
 
 
@@ -206,8 +206,6 @@ def test_cubical_pareto_shortcut_disabled():
     img = FilteredCubicalComplex(np.arange(6.0).reshape(2, 3))
     d = boundary_oracle(img, 1, f)
     assert all(d.pareto_leading(i) is None for i in range(d.nrows))
-    with pytest.raises(UsageError):
-        leading_entry_shortcut(img, 1, 0)
 
 
 def test_vertex_births_bound_edge_births():
@@ -272,7 +270,7 @@ def test_clique_oracle_matches_brute_force(case):
             assert list(oracle.col(j).entries) == sorted((ref_pos[n - 1][c], s % p) for c, s in faces)
         hits = set()
         for i in range(oracle.nrows):
-            hit = leading_entry_shortcut(cx, n, i)
+            hit = oracle.pareto_leading(i)
             if hit is not None:
                 hits.add((i, hit[0]))
                 assert hit[1] % p == dense[i][hit[0]]
@@ -331,7 +329,8 @@ def test_isolated_vertices_and_vertices_born_above_threshold():
     bars = PersistenceEngine(cx, GF(2)).bars(0)
     assert sorted(b.interval() for b in bars if not b.finite) == [(0.0, math.inf), (0.0, math.inf)]
     # a lone vertex, even under an infinite threshold, pairs with nothing
-    assert leading_entry_shortcut(FilteredCliqueComplex(np.zeros((1, 1)), 1, math.inf), 1, 0) is None
+    lone = FilteredCliqueComplex(np.zeros((1, 1)), 1, math.inf)
+    assert boundary_oracle(lone, 1, GF(7)).pareto_leading(0) is None
 
 
 def test_object_ranks_give_the_same_complex(monkeypatch):

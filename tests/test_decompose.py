@@ -265,7 +265,7 @@ def test_clearing_identical_on_benchmark_complex():
     u1 = decompose_compressed(d1)
     skip = clearing_filter(u1.matching)
     a = decompose_compressed(d2, DecomposeOptions(clear_rows=skip))
-    b = decompose_compressed(d2, DecomposeOptions(clearing=False))
+    b = decompose_compressed(d2, DecomposeOptions())
     assert a.matching == b.matching
 
 
@@ -356,7 +356,7 @@ def test_decompositions_agree_on_random_clique_complexes(case):
             pairs, rbar = pivot_block_reference(dn, cleared)
             for pareto in (True, False):
                 u = decompose_compressed(dn, DecomposeOptions(
-                    clearing=clearing, pareto=pareto, clear_rows=clear))
+                    pareto=pareto, clear_rows=clear if clearing else None))
                 assert u.matching == matching
                 assert list(u.matching.pairs) == pairs
                 assert rbar_rows(u) == rbar

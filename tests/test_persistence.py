@@ -624,3 +624,26 @@ def test_global_order_matches_sort_on_clique_complexes(case, top):
 @given(image_inputs())
 def test_global_order_matches_sort_on_cubical_complexes(pixels):
     assert_global_order_matches_reference(PersistenceEngine(FilteredCubicalComplex(pixels), GF(3)))
+
+
+def assert_jordan_columns_at_births_are_cycle_representatives(engine):
+    for n in range(engine.max_dim + 1):
+        for bar in engine.bars(n):
+            g = engine.global_index(bar.dim, bar.birth_pos)
+            assert engine.jordan_column(g) == engine.cycle_representative(bar)
+
+
+@settings(max_examples=80, deadline=None)
+@given(clique_inputs(), st.integers(0, 3))
+def test_jordan_column_at_a_birth_is_the_cycle_representative_on_clique_complexes(case, top):
+    d, max_dim, threshold, p = case
+    cx = FilteredCliqueComplex(d, max_dim, threshold)
+    engine = PersistenceEngine(cx, GF(p), max_dim=top, keep_empty_bars=True)
+    assert_jordan_columns_at_births_are_cycle_representatives(engine)
+
+
+@settings(max_examples=60, deadline=None)
+@given(image_inputs(), st.sampled_from([2, 3, 7]))
+def test_jordan_column_at_a_birth_is_the_cycle_representative_on_cubical_complexes(pixels, p):
+    engine = PersistenceEngine(FilteredCubicalComplex(pixels), GF(p), keep_empty_bars=True)
+    assert_jordan_columns_at_births_are_cycle_representatives(engine)
