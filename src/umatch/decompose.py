@@ -9,13 +9,14 @@ on demand, which is what makes large decompositions affordable.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from heapq import heappop, heappush, heapreplace
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .coeff import Field
 from .errors import InternalInconsistencyError, UsageError
@@ -26,9 +27,13 @@ from .matrix import MatrixOracle, SparseVector, StoredCsMatrix, _accumulate
 class OpCounter:
     """Coarse operation counts, for benchmarking and regression tests.
 
-    A line of the pivot-block product A served from its decomposition's memo
-    adds to a_memo_hits and to no other count, so axpy_entries depends on
-    which lines earlier calls built; solves does not.
+    heap_pops counts the positions the merge of decompose_compressed pops,
+    each once however many streamed rows hold it; the cancelled prefixes of
+    pivot rows are skipped, never popped.  row_fetches counts the distinct
+    rows of D the decomposition built, row_memo_hits the later reads of
+    them.  A line of the pivot-block product A served from its
+    decomposition's memo adds to a_memo_hits and to no other count, so
+    axpy_entries depends on which lines earlier calls built; solves does not.
     """
 
     eliminations: int = 0
@@ -228,65 +233,6 @@ class CompressedUmatch:
         return self.restrict(self.d.col(j), self.rho_pos)
 
 
-class _LazyHeapRow:
-    """Min-index merge of scaled sparse-row iterators with cancellation.
-
-    Sources are pushed as (iterator, scale); popping returns the leading
-    surviving (index, coeff) after all contributions at equal indices are
-    combined and zeros are discarded.
-    """
-
-    __slots__ = ("field", "_heap", "_count", "counter")
-
-    def __init__(self, field: Field, counter: Optional[OpCounter] = None):
-        self.field = field
-        self._heap: list[tuple[int, int, int, Optional[Iterable]]] = []
-        self._count = 0
-        self.counter = counter
-
-    def push_value(self, index: int, value: int) -> None:
-        if value:
-            self._count += 1
-            heapq.heappush(self._heap, (index, self._count, value, None))
-
-    def push_iter(self, entries: Iterable[tuple[int, int]], alpha: int) -> None:
-        if alpha == 0:
-            return
-        it = iter(entries)
-        for i, v in it:
-            self._advance(it, i, v if alpha == 1 else self.field.mul(alpha, v), alpha)
-            return
-
-    def _advance(self, it, index: int, value: int, alpha: int) -> None:
-        self._count += 1
-        heapq.heappush(self._heap, (index, self._count, value, (it, alpha)))
-
-    def pop_leading(self) -> Optional[tuple[int, int]]:
-        f = self.field
-        heap = self._heap
-        while heap:
-            index, _, value, tail = heapq.heappop(heap)
-            if tail is not None:
-                it, alpha = tail
-                for i, v in it:
-                    self._advance(it, i, f.mul(alpha, v) if alpha != 1 else v, alpha)
-                    break
-            acc = value
-            while heap and heap[0][0] == index:
-                _, _, v2, t2 = heapq.heappop(heap)
-                acc = f.add(acc, v2)
-                if t2 is not None:
-                    it, alpha = t2
-                    for i, v in it:
-                        self._advance(it, i, f.mul(alpha, v) if alpha != 1 else v, alpha)
-                        break
-            if self.counter is not None:
-                self.counter.heap_pops += 1
-            if acc:
-                return (index, acc)
-        return None
-
-
 def decompose_full(d: MatrixOracle) -> FullUmatch:
     """Bottom-to-top row reduction storing every factor (uncompressed form).
 
@@ -337,14 +283,18 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
     Modified rows are never stored: whenever a pivot row is needed for an
     elimination, it is recomputed as the product of the corresponding stored
     pivot-block row with the rows of d, streamed through a lazy merge heap.
-    While it runs, the call holds the matching so far, the pivot-block rows,
-    one merge heap, and a memo of the rows of d that eliminations stream:
-    each is built once per call through d.row and kept compact, so
-    (index, coefficient) pairs are made only for the entries the heap pops;
-    the memo is dropped when the reduction ends.  The pivot block is
-    returned row-major; its column-major twin is built on the first rbar.col.
+    By R^-1 D = M C^-1, with C^-1 upper unitriangular, the pivot row matched
+    to column k is zero before k, so each of its rows of d is streamed from
+    its first position past k.  While it runs, the call holds the matching
+    so far, the pivot-block rows, one merge heap with one entry per streamed
+    row, and a memo of the rows of d, the reduced ones and the streamed
+    ones: each is built once per call through d.row and kept compact, so
+    heap entries are made only for the entries the heap reads; the memo is
+    dropped when the reduction ends.  The pivot block is returned
+    row-major; its column-major twin is built on the first rbar.col.
     """
     f = d.field
+    p = f.p
     m, n = d.nrows, d.ncols
     counter = OpCounter() if opts.counters else None
     clear_rows = opts.clear_rows or frozenset()
@@ -357,18 +307,24 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
     pairs: list[tuple[int, int, int]] = []
     # row of d -> its compact line: the positions as machine ints, and the
     # coefficients as bytes when p < 256, a tuple otherwise, or None when
-    # all are 1; (position, coefficient) pairs are made only as the heap
-    # reads them
+    # all are 1
     memo: dict[int, tuple[array, Optional[Sequence[int]]]] = {}
     typecode = "i" if n < 2 ** 31 else "q"
+    # the merge: (position, source id, coefficient) per streamed row, and
+    # source id -> the rest of that stream, None once it is exhausted; ids
+    # are unique, so entries never compare past the id
+    heap: list[tuple[int, int, int]] = []
+    sources: list[Optional[Iterator[tuple[int, int, int]]]] = []
 
-    def d_row(i: int) -> Iterable[tuple[int, int]]:
+    def push(i: int, after: int, alpha: int) -> None:
+        """Stream alpha * (row i of d) from its first position past `after`."""
         line = memo.get(i)
         if line is None:
-            positions, coeffs = zip(*d.row(i).entries)
+            entries = d.row(i).entries
+            positions, coeffs = zip(*entries) if entries else ((), ())
             if coeffs.count(1) == len(coeffs):
                 coeffs = None
-            elif f.p < 256:
+            elif p < 256:
                 coeffs = bytes(coeffs)
             line = memo[i] = array(typecode, positions), coeffs
             if counter is not None:
@@ -376,7 +332,18 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
         elif counter is not None:
             counter.row_memo_hits += 1
         positions, coeffs = line
-        return zip(positions, coeffs or repeat(1))
+        s = bisect_right(positions, after)
+        if s == len(positions):
+            return
+        if coeffs is None:
+            values = repeat(alpha)
+        elif alpha == 1:
+            values = islice(coeffs, s, None)
+        else:
+            values = map(p.__rmod__, map(alpha.__mul__, islice(coeffs, s, None)))
+        it = zip(islice(positions, s, None), repeat(len(sources)), values)
+        sources.append(it)
+        heappush(heap, next(it))
 
     for i in range(m - 1, -1, -1):
         if i in clear_rows:
@@ -401,16 +368,25 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
                     counter.pareto_hits += 1
                 continue
 
-        work = _LazyHeapRow(f, counter)
-        work.push_iter(d.row(i).entries, 1)
-        if counter is not None:
-            counter.row_fetches += 1
+        push(i, -1, 1)
         vec: dict[int, int] = {}
-        while True:
-            lead = work.pop_leading()
-            if lead is None:
-                break
-            k, a = lead
+        while heap:
+            # pop the leading position, advancing every source that holds it
+            k, a = heap[0][0], 0
+            while heap and heap[0][0] == k:
+                _, sid, v = heap[0]
+                a += v
+                nxt = next(sources[sid], None)
+                if nxt is None:
+                    heappop(heap)
+                    sources[sid] = None
+                else:
+                    heapreplace(heap, nxt)
+            if counter is not None:
+                counter.heap_pops += 1
+            a %= p
+            if not a:
+                continue
             j = row_of_lead.get(k)
             if j is None:
                 # new pivot
@@ -419,16 +395,17 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
                 coeff_of_lead[k] = a
                 pairs.append((i, k, a))
                 break
-            lam = f.div(a, coeff_of_lead[k])
-            neg_lam = f.neg(lam)
-            # the reduced pivot row j is row_j(rbar) * D restricted to pivots
-            work.push_value(k, a)
+            neg_lam = f.neg(f.div(a, coeff_of_lead[k]))
+            # the reduced pivot row j, row_j(rbar) * D, is zero before k
+            # and cancels a at k, so its rows are streamed from past k
             ops = rbar_rows[j].items() if j in rbar_rows else ((j, 1),)
             for jj, w in ops:
-                work.push_iter(d_row(jj), f.mul(neg_lam, w))
-            _accumulate(vec, neg_lam, ops, f.p)
+                push(jj, k, neg_lam * w % p)
+            _accumulate(vec, neg_lam, ops, p)
             if counter is not None:
                 counter.eliminations += 1
+        heap.clear()
+        sources.clear()
     memo.clear()
 
     matching = MatchingArray(m, n, pairs)
