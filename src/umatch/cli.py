@@ -202,7 +202,7 @@ def cmd_generators(args) -> int:
                 chain = engine.cycle_representative(bar, strategy=strategy)
                 if args.verify and strategy == "early_stop" and bar.finite:
                     u = engine.umatch(n + 1)
-                    col = engine.matching(n + 1).col_of_row[bar.birth_pos]
+                    col = engine.matching(n + 1).col(bar.birth_pos)
                     if not column_validity_check(u, col, early_stop_solve(u, col)):
                         raise UmatchError("early-stop column failed the validity check")
                 bars.append(bar_json(engine, bar, chain))

@@ -100,14 +100,6 @@ class Field:
     def element(self, v: int) -> "FieldElement":
         return FieldElement(self, self.normalize(v))
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
 
 class _Field2(Field):
     """GF(2) specialization: addition is XOR, negation is the identity."""

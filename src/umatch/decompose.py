@@ -57,67 +57,75 @@ class DecomposeOptions:
 
 
 class MatchingArray:
-    """The unique generalized matching matrix of a U-match decomposition.
-
-    Holds the support with coefficients, the bijection between matched rows
-    and columns, and the sorted pivot / non-pivot index sequences.
+    """The unique generalized matching matrix of a U-match decomposition,
+    in pivot-position form: rho and kappa are the sorted matched rows and
+    columns, rho_pos and kappa_pos their positions, and
+    M[rho[pi[p]], kappa[p]] = m_diag[p], with pi_inv the inverse of pi.
+    The pairs, the complements and row / column lookups derive from these.
     """
 
     def __init__(self, nrows: int, ncols: int, pairs: Iterable[tuple[int, int, int]]):
         self.nrows = nrows
         self.ncols = ncols
-        pairs = tuple(sorted(pairs))
-        self.pairs = pairs
-        self.col_of_row: dict[int, int] = {}
-        self.row_of_col: dict[int, int] = {}
-        self._coeff: dict[int, int] = {}
-        for r, c, v in pairs:
-            if r in self.col_of_row or c in self.row_of_col:
-                raise UsageError("matching has more than one entry in a row or column")
-            if v == 0:
-                raise UsageError("matching coefficients must be nonzero")
-            self.col_of_row[r] = c
-            self.row_of_col[c] = r
-            self._coeff[r] = v
-        self.rho = tuple(sorted(self.col_of_row))
-        self.kappa = tuple(sorted(self.row_of_col))
-        self.rho_pos = {r: q for q, r in enumerate(self.rho)}
+        by_col = sorted((c, r, v) for r, c, v in pairs)
+        self.kappa = tuple(c for c, _, _ in by_col)
+        self.rho = tuple(sorted(r for _, r, _ in by_col))
         self.kappa_pos = {c: p for p, c in enumerate(self.kappa)}
+        self.rho_pos = {r: q for q, r in enumerate(self.rho)}
+        if len(self.kappa_pos) < len(by_col) or len(self.rho_pos) < len(by_col):
+            raise UsageError("matching has more than one entry in a row or column")
+        # pi[p] = pivot-row position paired with pivot-column position p
+        self.pi = tuple(self.rho_pos[r] for _, r, _ in by_col)
+        self.m_diag = tuple(v for _, _, v in by_col)
+        if 0 in self.m_diag:
+            raise UsageError("matching coefficients must be nonzero")
+        # pi_inv[q] = pivot-column position paired with pivot-row position q
+        self.pi_inv = tuple(sorted(self.kappa_pos.values(), key=self.pi.__getitem__))
 
     # the complements scan every row or column, so they are built on first use
 
     @cached_property
     def rho_bar(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.nrows) if i not in self.col_of_row)
+        return tuple(i for i in range(self.nrows) if i not in self.rho_pos)
 
     @cached_property
     def kappa_bar(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.ncols) if j not in self.row_of_col)
+        return tuple(j for j in range(self.ncols) if j not in self.kappa_pos)
 
-    @cached_property
+    @property
     def kappa_star(self) -> tuple[int, ...]:
-        return tuple(self.row_of_col[c] for c in self.kappa)
+        """The matched rows, in the order of their columns."""
+        return tuple(self.rho[q] for q in self.pi)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """The (row, column, coefficient) triples, sorted by row."""
+        return tuple((r, self.kappa[p], self.m_diag[p]) for r, p in zip(self.rho, self.pi_inv))
 
     @property
     def rank(self) -> int:
-        return len(self.pairs)
+        return len(self.rho)
 
     def coeff(self, r: int, c: Optional[int] = None) -> int:
         """M[r, c]; with c omitted, the coefficient of row r's pivot."""
-        if r not in self.col_of_row:
+        q = self.rho_pos.get(r)
+        if q is None:
             return 0
-        if c is not None and self.col_of_row[r] != c:
+        p = self.pi_inv[q]
+        if c is not None and self.kappa[p] != c:
             return 0
-        return self._coeff[r]
+        return self.m_diag[p]
 
     def support(self) -> frozenset[tuple[int, int]]:
         return frozenset((r, c) for r, c, _ in self.pairs)
 
     def row(self, c: int) -> Optional[int]:
-        return self.row_of_col.get(c)
+        p = self.kappa_pos.get(c)
+        return None if p is None else self.rho[self.pi[p]]
 
     def col(self, r: int) -> Optional[int]:
-        return self.col_of_row.get(r)
+        q = self.rho_pos.get(r)
+        return None if q is None else self.kappa[self.pi_inv[q]]
 
     def to_oracle(self, field: Field) -> StoredCsMatrix:
         rows = {r: {c: v} for r, c, v in self.pairs}
@@ -184,26 +192,16 @@ class CompressedUmatch:
         self.matching = matching
         self.rbar = rbar
         self.stats = stats
+        # the matching's own objects, read on every retrieval
         m = matching
         self.rho = m.rho
         self.kappa = m.kappa
         self.rho_pos = m.rho_pos
         self.kappa_pos = m.kappa_pos
-        # pi[p] = pivot-row position paired with pivot-column position p
-        self.pi = tuple(m.rho_pos[m.row_of_col[c]] for c in m.kappa)
-        # pi_inv[q] = pivot-column position paired with pivot-row position q
-        self.pi_inv = tuple(m.kappa_pos[m.col_of_row[r]] for r in m.rho)
-        # m_diag[p] = M[row(kappa_p), kappa_p]
-        self.m_diag = tuple(m.coeff(m.row_of_col[c]) for c in m.kappa)
+        self.pi = m.pi
+        self.pi_inv = m.pi_inv
+        self.m_diag = m.m_diag
         self._a_memo = _LineMemo(rbar.nnz)
-
-    @property
-    def rho_bar(self) -> tuple[int, ...]:
-        return self.matching.rho_bar
-
-    @property
-    def kappa_bar(self) -> tuple[int, ...]:
-        return self.matching.kappa_bar
 
     @property
     def field(self) -> Field:
@@ -244,7 +242,6 @@ def decompose_full(d: MatrixOracle) -> FullUmatch:
     reduced: dict[int, dict[int, int]] = {}
     rinv_rows: dict[int, dict[int, int]] = {}
     lead_of: dict[int, int] = {}  # leading column -> pivot row below
-    pairs: list[tuple[int, int, int]] = []
 
     for i in range(m - 1, -1, -1):
         work = {j: v for j, v in d.row(i).entries}
@@ -262,12 +259,11 @@ def decompose_full(d: MatrixOracle) -> FullUmatch:
             k = min(work)
             reduced[i] = work
             lead_of[k] = i
-            pairs.append((i, k, work[k]))
 
-    matching = MatchingArray(m, n, pairs)
+    matching = MatchingArray(m, n, ((r, c, reduced[r][c]) for c, r in lead_of.items()))
     cinv_rows: dict[int, dict[int, int]] = {}
-    for r, c, v in pairs:
-        s = f.inv(v)
+    for c, r in lead_of.items():
+        s = f.inv(reduced[r][c])
         cinv_rows[c] = {j: f.mul(s, w) for j, w in reduced[r].items()}
     for c in matching.kappa_bar:
         cinv_rows[c] = {c: 1}
@@ -304,7 +300,6 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
     rbar_rows: dict[int, dict[int, int]] = {}
     row_of_lead: dict[int, int] = {}  # matched column -> pivot row
     coeff_of_lead: dict[int, int] = {}  # matched column -> matching coefficient
-    pairs: list[tuple[int, int, int]] = []
     # row of d -> its compact line: the positions as machine ints, and the
     # coefficients as bytes when p < 256, a tuple otherwise, or None when
     # all are 1
@@ -363,7 +358,6 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
                     )
                 row_of_lead[k] = i
                 coeff_of_lead[k] = a
-                pairs.append((i, k, a))
                 if counter is not None:
                     counter.pareto_hits += 1
                 continue
@@ -393,7 +387,6 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
                 rbar_rows[i] = {i: 1, **vec}
                 row_of_lead[k] = i
                 coeff_of_lead[k] = a
-                pairs.append((i, k, a))
                 break
             neg_lam = f.neg(f.div(a, coeff_of_lead[k]))
             # the reduced pivot row j, row_j(rbar) * D, is zero before k
@@ -408,7 +401,7 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
         sources.clear()
     memo.clear()
 
-    matching = MatchingArray(m, n, pairs)
+    matching = MatchingArray(m, n, ((r, c, coeff_of_lead[c]) for c, r in row_of_lead.items()))
     # rbar in CSR form, one row per pivot row in order; rho is sorted, so
     # sorting a row by absolute index sorts it by pivot-row position
     pos = matching.rho_pos

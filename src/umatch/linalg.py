@@ -188,7 +188,7 @@ def _space_leaf(u: CompressedUmatch, space) -> tuple[str, frozenset[int]]:
         if not 0 <= space.p <= u.d.nrows:
             raise UsageError("filtration step out of range")
         gens = set(m.kappa_bar)
-        gens.update(c for c in m.kappa if m.row_of_col[c] < space.p)
+        gens.update(c for c in m.kappa if m.row(c) < space.p)
         return ("C", frozenset(gens))
     if isinstance(space, ImageStep):
         if not 0 <= space.p <= u.d.ncols:
@@ -322,7 +322,7 @@ class _ReducedProductOracle(MatrixOracle):
     def col(self, j: int) -> SparseVector:
         self._check_col(j)
         u = self.u
-        r = u.matching.row_of_col.get(j)
+        r = u.matching.row(j)
         if r is None:
             return SparseVector.zero(self.field)
         col_r = retrieve(u, RetrievalTarget("R", "col", r))
@@ -335,7 +335,7 @@ class _ReducedProductOracle(MatrixOracle):
         row_r = retrieve(u, RetrievalTarget("R", "row", i))
         ent = []
         for r, v in row_r.entries:
-            c = u.matching.col_of_row.get(r)
+            c = u.matching.col(r)
             if c is not None:
                 ent.append((c, f.mul(v, u.matching.coeff(r))))
         return SparseVector(f, tuple(sorted(ent)), _checked=True)

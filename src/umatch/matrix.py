@@ -337,11 +337,6 @@ class StoredCsMatrix(MatrixOracle):
                     count += 1
         return count
 
-    def triplets(self) -> Iterator[tuple[int, int, int]]:
-        for i in range(self.nrows):
-            for k in range(self._row_ptr[i], self._row_ptr[i + 1]):
-                yield (i, self._col_idx[k], self._vals[k])
-
 
 class _AntitransposeView(MatrixOracle):
     def __init__(self, base: MatrixOracle):

@@ -140,7 +140,7 @@ class PersistenceEngine:
 
     def __init__(self, complex_, field: Field, max_dim: Optional[int] = None,
                  clearing: bool = True, pareto: bool = True,
-                 keep_empty_bars: bool = False, counters: bool = False):
+                 keep_empty_bars: bool = False):
         self.complex = complex_
         self.field = field
         self.max_dim = complex_.max_dim if max_dim is None else min(max_dim, complex_.max_dim)
@@ -153,7 +153,7 @@ class PersistenceEngine:
             d = boundary_oracle(complex_, n, field)
             self._boundaries[n] = d
             clear = clearing_filter(prior) if (clearing and prior is not None) else None
-            opts = DecomposeOptions(pareto=pareto, counters=counters, clear_rows=clear)
+            opts = DecomposeOptions(pareto=pareto, clear_rows=clear)
             u = decompose_compressed(d, opts)
             self._umatch[n] = u
             prior = u.matching
@@ -224,10 +224,8 @@ class PersistenceEngine:
         out = [Bar(self, n, r, c) for r, c, _ in up.pairs
                if self.keep_empty_bars or born[r] != dies[c]]
         here = self.matching(n)
-        matched_rows = set(up.col_of_row)
-        matched_cols = set(here.row_of_col)
         for k in range(len(self.order(n))):
-            if k not in matched_cols and k not in matched_rows:
+            if k not in here.kappa_pos and k not in up.rho_pos:
                 out.append(Bar(self, n, k, None))
         out.sort(key=lambda b: (b.birth_pos, b.death_pos if b.death_pos is not None else math.inf))
         return out
@@ -255,7 +253,7 @@ class PersistenceEngine:
             raise UsageError(f"unknown strategy {strategy!r}")
         if strategy == "early_stop" and bar.finite:
             u = self._umatch[bar.dim + 1]
-            col = early_stop_solve(u, u.matching.col_of_row[bar.birth_pos])
+            col = early_stop_solve(u, u.matching.col(bar.birth_pos))
             return Chain(bar.dim, self._normalize(matvec(u.d, col)))
         return self._jordan_column(bar.dim, bar.birth_pos)
 
@@ -285,7 +283,7 @@ class PersistenceEngine:
         when the cell is a matched row of the boundary above it, the unit
         vector in dimension 0, and column pos of C elsewhere."""
         up = self._umatch.get(n + 1)
-        if up is not None and pos in up.matching.col_of_row:
+        if up is not None and pos in up.matching.rho_pos:
             vec = retrieve(up, RetrievalTarget("R", "col", pos))
         elif n == 0:
             return Chain(0, SparseVector.unit(self.field, pos))
@@ -301,7 +299,7 @@ class PersistenceEngine:
             here = self.matching(n)
             out = []
             for k in range(len(self.order(n))):
-                if k in here.row_of_col:
+                if k in here.kappa_pos:
                     continue  # not a cycle column
                 g = self.global_index(n, k)
                 if g < space.p:
@@ -310,13 +308,13 @@ class PersistenceEngine:
         if isinstance(space, BoundariesBorn):
             n = space.n
             up = self.matching(n + 1)
-            out = [self.global_index(n, r) for r in up.col_of_row
+            out = [self.global_index(n, r) for r in up.rho
                    if self.global_index(n, r) < space.p]
             return ("J", frozenset(out))
         if isinstance(space, ImageOfFiltered):
             n = space.n
             up = self.matching(n + 1)
-            out = [self.global_index(n, r) for r, c in up.col_of_row.items()
+            out = [self.global_index(n, r) for r, c, _ in up.pairs
                    if self.global_index(n + 1, c) < space.p]
             return ("J", frozenset(out))
         raise UsageError(f"unrecognized saecular expression {space!r}")

@@ -27,7 +27,7 @@ def column_validity_check(u: CompressedUmatch, pivot_col: int, v: SparseVector) 
     """Whether v can replace column pivot_col of the domain matrix: unit
     coefficient at pivot_col, no support below it, and image vanishing below
     the matched row."""
-    r = u.matching.row_of_col.get(pivot_col)
+    r = u.matching.row(pivot_col)
     if r is None:
         raise UsageError(f"column {pivot_col} is not a pivot column")
     t = v.trailing()
@@ -48,7 +48,7 @@ def early_stop_solve(u: CompressedUmatch, pivot_col: int) -> SparseVector:
     p = u.kappa_pos.get(pivot_col)
     if p is None:
         raise UsageError(f"column {pivot_col} is not a pivot column")
-    r = u.matching.row_of_col[pivot_col]
+    r = u.rho[u.pi[p]]
     # solve A x = m * e_{pi(p)} through pivot-column positions, descending,
     # keeping the image tail (D x)[i > r] current after every coefficient
     resid = {u.pi[p]: u.m_diag[p]}
@@ -65,7 +65,7 @@ def early_stop_solve(u: CompressedUmatch, pivot_col: int) -> SparseVector:
 def delete_coefficients(u: CompressedUmatch, pivot_col: int, v: SparseVector) -> SparseVector:
     """Drop coefficients of the exact pivot column whose own columns of D
     vanish below the matched row; the result still passes the validity check."""
-    r = u.matching.row_of_col.get(pivot_col)
+    r = u.matching.row(pivot_col)
     if r is None:
         raise UsageError(f"column {pivot_col} is not a pivot column")
     kept = []

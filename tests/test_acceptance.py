@@ -337,7 +337,7 @@ def test_criterion_optimization_neutrality():
                     assert ch.vector.trailing()[0] == bar.birth_pos
                     if bar.finite:
                         u = base.umatch(n + 1)
-                        col = base.matching(n + 1).col_of_row[bar.birth_pos]
+                        col = base.matching(n + 1).col(bar.birth_pos)
                         assert column_validity_check(u, col, early_stop_solve(u, col))
 
 

@@ -16,15 +16,16 @@ from umatch import (
     matching_rank_oracle,
     pareto_pairs,
 )
-from umatch.complexes import boundary_oracle
+from umatch.complexes import FilteredCubicalComplex, boundary_oracle
 from umatch.datasets import circle_complex, er_complex
 from umatch.decompose import clearing_filter
+from umatch.errors import UsageError
 from umatch.linalg import _invert_unitriangular
 
 import numpy as np
 from umatch.complexes import FilteredCliqueComplex
 
-from conftest import clique_inputs, random_stored
+from conftest import clique_inputs, image_inputs, random_stored
 from oracles import mat_mul, pivot_block_reference
 
 
@@ -143,7 +144,7 @@ def test_matching_identities_for_rows_and_columns(p):
         dd = d.to_dense()
         for col in range(n):
             image = [sum(dd[i][t] * c[t][col] for t in range(n)) % p for i in range(m)]
-            row = match.row_of_col.get(col)
+            row = match.row(col)
             if row is None:
                 assert image == [0] * m
             else:
@@ -154,7 +155,7 @@ def test_matching_identities_for_rows_and_columns(p):
         cinv = full.cinv.to_dense()
         for row in range(m):
             lhs = [sum(rinv[row][t] * dd[t][j] for t in range(m)) % p for j in range(n)]
-            col = match.col_of_row.get(row)
+            col = match.col(row)
             if col is None:
                 assert lhs == [0] * n
             else:
@@ -305,6 +306,91 @@ def test_matching_array_index_sequences():
     assert m.kappa_star == (4, 1)
     assert sorted(m.kappa_star) == list(m.rho)
     assert m.rank == 2
+
+
+@st.composite
+def partial_matchings(draw):
+    """A partial matching of an m x n array, up to 12 x 12, with
+    coefficients in GF(7), its entries listed in random order."""
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    k = draw(st.integers(0, min(m, n)))
+    rows = draw(st.permutations(range(m)))[:k]
+    cols = draw(st.permutations(range(n)))[:k]
+    coeffs = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    return m, n, list(zip(rows, cols, coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_matchings(), st.randoms(use_true_random=False))
+def test_matching_array_against_dict_reference(case, rnd):
+    m, n, triples = case
+    col_of = {r: c for r, c, _ in triples}
+    row_of = {c: r for r, c, _ in triples}
+    coeff = {r: v for r, _, v in triples}
+    rho, kappa = sorted(col_of), sorted(row_of)
+    a = MatchingArray(m, n, iter(triples))
+    assert a.pairs == tuple(sorted(triples))
+    assert a.rank == len(triples)
+    assert a.rho == tuple(rho)
+    assert a.kappa == tuple(kappa)
+    assert a.rho_pos == {r: q for q, r in enumerate(rho)}
+    assert a.kappa_pos == {c: p for p, c in enumerate(kappa)}
+    assert a.pi == tuple(rho.index(row_of[c]) for c in kappa)
+    assert a.pi_inv == tuple(kappa.index(col_of[r]) for r in rho)
+    assert a.m_diag == tuple(coeff[row_of[c]] for c in kappa)
+    assert a.rho_bar == tuple(i for i in range(m) if i not in col_of)
+    assert a.kappa_bar == tuple(j for j in range(n) if j not in row_of)
+    assert a.kappa_star == tuple(row_of[c] for c in kappa)
+    assert a.support() == {(r, c) for r, c, _ in triples}
+    for i in range(m):
+        assert a.col(i) == col_of.get(i)
+        assert a.coeff(i) == coeff.get(i, 0)
+        for j in range(n):
+            assert a.coeff(i, j) == (coeff[i] if col_of.get(i) == j else 0)
+    for j in range(n):
+        assert a.row(j) == row_of.get(j)
+
+    shuffled = triples[:]
+    rnd.shuffle(shuffled)
+    b = MatchingArray(m, n, shuffled)
+    assert b == a and hash(b) == hash(a)
+
+    # a matching matrix is its own matching array, and the decomposition
+    # hands back the matching's own position tuples
+    u = decompose_compressed(a.to_oracle(GF(7)))
+    assert u.matching == a
+    assert u.pi is u.matching.pi
+    assert u.pi_inv is u.matching.pi_inv
+    assert u.m_diag is u.matching.m_diag
+
+    if triples:
+        (r, c, v), rest = triples[0], triples[1:]
+        bad = [rest + [(r, c, 0)]]
+        bad += [triples + [(r, j, v)] for j in range(n) if j not in row_of][:1]
+        bad += [triples + [(i, c, v)] for i in range(m) if i not in col_of][:1]
+        for entries in bad:
+            with pytest.raises(UsageError):
+                MatchingArray(m, n, entries)
+
+
+boundary_complexes = st.one_of(
+    st.builds(lambda n, seed: er_complex(n, seed=seed, max_dim=3),
+              st.integers(2, 9), st.integers(0, 2 ** 32 - 1)),
+    image_inputs().map(FilteredCubicalComplex),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(boundary_complexes, st.sampled_from([2, 3, 7]))
+def test_antitranspose_duality_on_complex_boundaries(cx, p):
+    # the matching of J D^T J is J M^T J, coefficients included
+    for k in range(1, cx.max_dim + 1):
+        d = boundary_oracle(cx, k, GF(p))
+        m, n = d.nrows, d.ncols
+        u = decompose_compressed(d)
+        at = decompose_compressed(antitranspose_view(d))
+        assert at.matching.pairs == tuple(sorted(
+            (n - 1 - c, m - 1 - r, v) for r, c, v in u.matching.pairs))
 
 
 def test_fifty_random_10x14_gf7_instances_agree_with_oracle():

@@ -202,7 +202,7 @@ def test_cocycle_representatives(p):
                     # unit lies in pivot coordinates
                     up = engine.matching(n + 1)
                     for i, _ in co.vector.entries:
-                        assert i == bar.birth_pos or i in up.col_of_row
+                        assert i == bar.birth_pos or i in up.rho_pos
                     d_up = dense_boundary(cx, n + 1, p) if len(engine.order(n + 1)) else []
                     if d_up:
                         row = co.vector.to_dense(len(engine.order(n)))

@@ -72,7 +72,7 @@ def modified_domain_matrix_is_valid(u, replacements):
         else:
             assert j not in u.kappa_pos
     for j, (r, v) in derived.items():
-        assert u.matching.row_of_col[j] == r
+        assert u.matching.row(j) == r
         assert u.matching.coeff(r) == v
     assert set(derived) == set(u.kappa)
 
