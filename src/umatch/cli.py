@@ -100,8 +100,6 @@ def _add_common_complex_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--threshold", type=float, default=None, help="maximum filtration value")
     sp.add_argument("--metric", choices=["euclidean", "torus"], default="euclidean")
     sp.add_argument("--keep-empty-bars", action="store_true")
-    sp.add_argument("--no-clearing", action="store_true")
-    sp.add_argument("--no-pareto", action="store_true")
     sp.add_argument("--output", default=None, help="output path (default stdout)")
     sp.add_argument("--input-type", choices=["points", "distances", "image"], default=None)
 
@@ -128,8 +126,6 @@ def _build_engine(cx, args) -> PersistenceEngine:
         cx,
         GF(args.field),
         max_dim=args.max_dim if cx.kind == "clique" else None,
-        clearing=not args.no_clearing,
-        pareto=not args.no_pareto,
         keep_empty_bars=args.keep_empty_bars,
     )
 
@@ -137,8 +133,7 @@ def _build_engine(cx, args) -> PersistenceEngine:
 def cmd_decompose(args) -> int:
     with _output(args.output) as out:
         d = load_triplet_file(args.input)
-        opts = DecomposeOptions(pareto=not args.no_pareto)
-        u = decompose_compressed(d, opts)
+        u = decompose_compressed(d)
         summary = {
             "rows": d.nrows,
             "cols": d.ncols,
@@ -323,7 +318,7 @@ def _bench_one_seed(args, field, seed: int) -> list[dict]:
     cx = build_dataset(args.dataset, seed=seed, n=args.n, side=args.side,
                        dim=args.point_dim)
     bench_dim = min(2, cx.max_dim)
-    engine = PersistenceEngine(cx, field, pareto=not args.no_pareto)
+    engine = PersistenceEngine(cx, field)
     d = engine.boundary(bench_dim)
     if d is None:
         return []
@@ -334,7 +329,7 @@ def _bench_one_seed(args, field, seed: int) -> list[dict]:
     matching = full.matching
     lower_dim_bars = len(engine.bars(bench_dim - 1))
     rows = []
-    opts = DecomposeOptions(pareto=not args.no_pareto, counters=True)
+    opts = DecomposeOptions(counters=True)
     for variant in BENCH_VARIANTS:
         # wrapper construction counts toward the timing, so every variant is
         # charged the same matrix-and-matching setup cost
@@ -397,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="factor a triplet-format matrix")
     sp.add_argument("input")
     sp.add_argument("--factors", action="store_true", help="dump matching and pivot block")
-    sp.add_argument("--no-pareto", action="store_true")
     sp.add_argument("--verify", action="store_true")
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_decompose)
@@ -437,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--field", type=int, default=2)
-    sp.add_argument("--no-pareto", action="store_true")
     sp.add_argument("--parallel", action="store_true",
                     help="run independent dataset trials concurrently")
     sp.add_argument("--output", default=None)

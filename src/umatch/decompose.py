@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .coeff import Field
 from .errors import InternalInconsistencyError, UsageError
-from .matrix import MatrixOracle, SparseVector, StoredCsMatrix, _accumulate
+from .matrix import MatrixOracle, SparseVector, StoredCsMatrix, _accumulate, _apparent_pair
 
 
 @dataclass
@@ -51,7 +51,6 @@ class OpCounter:
 
 @dataclass(frozen=True)
 class DecomposeOptions:
-    pareto: bool = True
     counters: bool = False
     clear_rows: Optional[frozenset[int]] = None
 
@@ -348,19 +347,18 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
         if counter is not None:
             counter.rows_processed += 1
 
-        if opts.pareto:
-            hit = d.pareto_leading(i)
-            if hit is not None:
-                k, a = hit
-                if k in row_of_lead:
-                    raise InternalInconsistencyError(
-                        "pareto-leading column is already matched"
-                    )
-                row_of_lead[k] = i
-                coeff_of_lead[k] = a
-                if counter is not None:
-                    counter.pareto_hits += 1
-                continue
+        hit = d.pareto_leading(i)
+        if hit is not None:
+            k, a = hit
+            if k in row_of_lead:
+                raise InternalInconsistencyError(
+                    "pareto-leading column is already matched"
+                )
+            row_of_lead[k] = i
+            coeff_of_lead[k] = a
+            if counter is not None:
+                counter.pareto_hits += 1
+            continue
 
         push(i, -1, 1)
         vec: dict[int, int] = {}
@@ -480,14 +478,7 @@ def clearing_filter(prior: MatchingArray) -> frozenset[int]:
 
 def pareto_pairs(d: MatrixOracle) -> frozenset[tuple[int, int]]:
     """All (i, j) where D[i, j] is the leading entry of row i and the lowest
-    entry of column j; every such pair lies in the matching support."""
-    out = set()
-    for i in range(d.nrows):
-        lead = d.row(i).leading()
-        if lead is None:
-            continue
-        j, _ = lead
-        trail = d.col(j).trailing()
-        if trail is not None and trail[0] == i:
-            out.add((i, j))
-    return frozenset(out)
+    entry of column j; every such pair lies in the matching support.  The
+    probe runs on every row, whatever d.pareto_enabled says."""
+    hits = ((i, _apparent_pair(d, i)) for i in range(d.nrows))
+    return frozenset((i, hit[0]) for i, hit in hits if hit is not None)

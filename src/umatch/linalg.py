@@ -6,7 +6,7 @@ right-reduced forms."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .decompose import CompressedUmatch, FullUmatch, MatchingArray
 from .errors import UsageError
@@ -210,48 +210,27 @@ def subspace_basis(u: CompressedUmatch, space) -> SubspaceBasis:
 
 # -- related factorizations ----------------------------------------------
 
-def _reversal(k: int) -> list[int]:
-    return list(range(k - 1, -1, -1))
-
-
-def _permute_dense(rows: Sequence[Sequence[int]], rperm, cperm) -> list[list[int]]:
-    return [[rows[i][j] for j in cperm] for i in rperm]
-
-
 def to_lu(u: CompressedUmatch) -> tuple[StoredCsMatrix, StoredCsMatrix, StoredCsMatrix, StoredCsMatrix]:
     """(L, P, N, U) with L P = N U, L lower unitriangular, U upper
     unitriangular, P a generalized permutation: the pivot blocks of the
-    decomposition conjugated by the exchange permutation."""
+    decomposition conjugated by the exchange permutation, which maps index
+    i to k - 1 - i.  Each factor is built from the entries of sparse
+    solves, with no dense k x k copy."""
     f = u.field
     k = u.rank
     a = PivotBlockProduct(u)
-    # R_rho_rho = inverse of the stored pivot block
-    rrr = [triangular_solve(u.rbar, SparseVector.unit(f, q), side="left").to_dense(k)
-           for q in range(k)]
-    rrr_rows = [[rrr[j][i] for j in range(k)] for i in range(k)]
-    # C_kappa_kappa columns solve A x = col_p(M_rho_kappa)
-    ccc_cols = []
+    l, pm, nm, um = [], [], [], []
     for p in range(k):
-        b = SparseVector.unit(f, u.pi[p], u.m_diag[p])
-        ccc_cols.append(triangular_solve(a, b, side="left", row_perm=u.pi).to_dense(k))
-    ccc_rows = [[ccc_cols[j][i] for j in range(k)] for i in range(k)]
-    d_rk = [[0] * k for _ in range(k)]
-    for p in range(k):
-        for q, v in u.d_col_rho(u.kappa[p]).entries:
-            d_rk[q][p] = v
-    m_rk = [[0] * k for _ in range(k)]
-    for p in range(k):
-        m_rk[u.pi[p]][p] = u.m_diag[p]
-    rev = _reversal(k)
-    l_rows = _permute_dense(rrr_rows, rev, rev)
-    p_rows = _permute_dense(m_rk, rev, range(k))
-    n_rows = _permute_dense(d_rk, rev, range(k))
-    return (
-        StoredCsMatrix.from_dense(f, l_rows),
-        StoredCsMatrix.from_dense(f, p_rows),
-        StoredCsMatrix.from_dense(f, n_rows),
-        StoredCsMatrix.from_dense(f, ccc_rows),
-    )
+        # column p of R_rho_rho, the inverse of the stored pivot block
+        x = triangular_solve(u.rbar, SparseVector.unit(f, p), side="left")
+        l.extend((k - 1 - i, k - 1 - p, v) for i, v in x.entries)
+        pm.append((k - 1 - u.pi[p], p, u.m_diag[p]))
+        nm.extend((k - 1 - q, p, v) for q, v in u.d_col_rho(u.kappa[p]).entries)
+        # column p of C_kappa_kappa solves A x = col_p(M_rho_kappa)
+        x = triangular_solve(a, SparseVector.unit(f, u.pi[p], u.m_diag[p]),
+                             side="left", row_perm=u.pi)
+        um.extend((i, p, v) for i, v in x.entries)
+    return tuple(StoredCsMatrix.from_triplets(f, k, k, t) for t in (l, pm, nm, um))
 
 
 class _RowEchelonOracle(MatrixOracle):

@@ -187,20 +187,11 @@ class MatrixOracle:
         return self.row(i).get(j)
 
     def pareto_leading(self, i: int) -> Optional[tuple[int, int]]:
-        """(j, coeff) when D[i, j] is both the leading entry of row i and the
-        lowest entry of column j; None otherwise.  Subclasses may override
-        with a cheaper test, or return None to opt out of the short circuit.
+        """Row i's apparent pair (see _apparent_pair), or None when this
+        oracle declines the probe.  Subclasses may override with a cheaper
+        test, or return None to opt out of the short circuit.
         """
-        if not self.pareto_enabled:
-            return None
-        lead = self.row(i).leading()
-        if lead is None:
-            return None
-        j, a = lead
-        trail = self.col(j).trailing()
-        if trail is not None and trail[0] == i:
-            return (j, a)
-        return None
+        return _apparent_pair(self, i) if self.pareto_enabled else None
 
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.ncols for _ in range(self.nrows)]
@@ -212,6 +203,18 @@ class MatrixOracle:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
+
+
+def _apparent_pair(d: MatrixOracle, i: int) -> Optional[tuple[int, int]]:
+    """(j, coeff) when D[i, j] is both the leading entry of row i and the
+    lowest entry of column j; None otherwise."""
+    lead = d.row(i).leading()
+    if lead is None:
+        return None
+    trail = d.col(lead[0]).trailing()
+    if trail is not None and trail[0] == i:
+        return lead
+    return None
 
 
 class StoredCsMatrix(MatrixOracle):

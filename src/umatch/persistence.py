@@ -139,7 +139,6 @@ class PersistenceEngine:
     all generator-level queries."""
 
     def __init__(self, complex_, field: Field, max_dim: Optional[int] = None,
-                 clearing: bool = True, pareto: bool = True,
                  keep_empty_bars: bool = False):
         self.complex = complex_
         self.field = field
@@ -152,9 +151,8 @@ class PersistenceEngine:
         for n in range(1, self.max_dim + 1):
             d = boundary_oracle(complex_, n, field)
             self._boundaries[n] = d
-            clear = clearing_filter(prior) if (clearing and prior is not None) else None
-            opts = DecomposeOptions(pareto=pareto, clear_rows=clear)
-            u = decompose_compressed(d, opts)
+            clear = clearing_filter(prior) if prior is not None else None
+            u = decompose_compressed(d, DecomposeOptions(clear_rows=clear))
             self._umatch[n] = u
             prior = u.matching
 

@@ -318,6 +318,12 @@ def test_unknown_subquery_rejected(tmp_path, capsys):
     ["barcode", "d.csv", "--generators-strategy", "exact"],
     ["query", "d.csv", "retrieve", "--generators-strategy", "exact"],
     ["query", "d.csv", "retrieve", "--verify"],
+    # clearing and the apparent-pair probe are not options
+    ["barcode", "d.csv", "--no-pareto"],
+    ["generators", "d.csv", "--no-clearing"],
+    ["query", "d.csv", "retrieve", "--no-pareto"],
+    ["decompose", "m.txt", "--no-pareto"],
+    ["bench", "er", "--no-pareto"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -360,18 +366,6 @@ def test_barcode_torus_metric_and_empty_bars(tmp_path):
     bars = json.loads(out.read_text())["bars"]
     h1 = [b for b in bars if b["dimension"] == 1]
     assert len(h1) == 1 and h1[0]["birth"] == h1[0]["death"] == 1.0
-
-
-def test_cli_optimization_toggles_do_not_change_barcodes(tmp_path):
-    pts = write_circle_points(tmp_path / "pts.csv", n=10)
-    payloads = []
-    for extra in ([], ["--no-clearing"], ["--no-pareto"], ["--no-clearing", "--no-pareto"]):
-        out = tmp_path / f"bars{len(payloads)}.json"
-        rc = main(["barcode", str(pts), "--input-type", "points",
-                   "--threshold", "2.0", "--output", str(out)] + extra)
-        assert rc == 0
-        payloads.append(out.read_bytes())
-    assert all(pl == payloads[0] for pl in payloads)
 
 
 def test_bench_cubical_dataset(tmp_path):

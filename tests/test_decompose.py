@@ -227,8 +227,10 @@ def test_pareto_short_circuit_changes_nothing():
     for p in (2, 7):
         for _ in range(10):
             d = random_stored(rnd, p, rnd.randint(1, 8), rnd.randint(1, 8))
-            with_sc = decompose_compressed(d, DecomposeOptions(pareto=True))
-            without = decompose_compressed(d, DecomposeOptions(pareto=False))
+            d.pareto_enabled = True
+            with_sc = decompose_compressed(d)
+            d.pareto_enabled = False
+            without = decompose_compressed(d)
             assert with_sc.matching == without.matching
             assert with_sc.rbar.to_dense() == without.rbar.to_dense()
 
@@ -441,8 +443,9 @@ def test_decompositions_agree_on_random_clique_complexes(case):
             cleared = clear if clearing and clear else frozenset()
             pairs, rbar = pivot_block_reference(dn, cleared)
             for pareto in (True, False):
+                dn.pareto_enabled = pareto
                 u = decompose_compressed(dn, DecomposeOptions(
-                    pareto=pareto, clear_rows=clear if clearing else None))
+                    clear_rows=clear if clearing else None))
                 assert u.matching == matching
                 assert list(u.matching.pairs) == pairs
                 assert rbar_rows(u) == rbar
@@ -461,19 +464,21 @@ def test_compressed_builds_each_row_once():
             return row(i)
 
         d.row = counted
-        u = decompose_compressed(d, DecomposeOptions(pareto=False, counters=True))
+        d.pareto_enabled = False
+        u = decompose_compressed(d, DecomposeOptions(counters=True))
         assert u.stats.eliminations > 0 and u.stats.row_memo_hits > 0
         assert sum(calls.values()) == u.stats.row_fetches
         # the row being reduced and the rows its eliminations stream share
         # one memo, so every row is built once
         assert max(calls.values()) == 1
         assert rbar_rows(u) == pivot_block_reference(d)[1]
-        quiet = decompose_compressed(d, DecomposeOptions(pareto=False))
+        quiet = decompose_compressed(d)
         assert quiet.stats is None and rbar_rows(quiet) == rbar_rows(u)
 
 
 def assert_matches_reference(d, pareto):
-    u = decompose_compressed(d, DecomposeOptions(pareto=pareto))
+    d.pareto_enabled = pareto
+    u = decompose_compressed(d)
     pairs, rbar = pivot_block_reference(d)
     assert list(u.matching.pairs) == pairs
     assert rbar_rows(u) == rbar

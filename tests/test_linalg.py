@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ from umatch import (
     SparseVector,
     StoredCsMatrix,
     UsageError,
+    boundary_oracle,
     decompose_compressed,
     decompose_full,
     kernel_coords,
@@ -24,12 +26,14 @@ from umatch.linalg import (
     ImageStep,
     PreimageStep,
     RdvDecomposition,
+    _dense_product,
     _invert_unitriangular,
     image_space,
     join,
     kernel_space,
     meet,
 )
+from umatch.datasets import er_complex
 from umatch.matrix import matvec, vecmat
 
 from conftest import random_stored
@@ -255,6 +259,25 @@ def test_to_lu_worked_example_and_random():
             assert all(sum(1 for v in row if v) == 1 for row in pd)
             for j in range(k):
                 assert sum(1 for i in range(k) if pd[i][j]) == 1
+
+
+def test_to_lu_is_sparse_at_rank_406():
+    # dense k x k copies of the pivot blocks would peak near 13 MiB here
+    u = decompose_compressed(boundary_oracle(er_complex(30, seed=0), 2, GF(7)))
+    k = u.rank
+    assert k == 406
+    tracemalloc.start()
+    try:
+        l, pm, nm, um = to_lu(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, peak
+    lp, nu = _dense_product(l, pm), _dense_product(nm, um)
+    assert [lp.row(i) for i in range(k)] == [nu.row(i) for i in range(k)]
+    for i in range(k):
+        assert l.row(i).trailing() == (i, 1)
+        assert um.row(i).leading() == (i, 1)
 
 
 def test_to_echelon_row_form():
