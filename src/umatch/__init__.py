@@ -16,7 +16,6 @@ from .decompose import (
     clearing_filter,
     decompose_compressed,
     decompose_full,
-    matching_rank_oracle,
     pareto_pairs,
 )
 from .errors import (

@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
-import multiprocessing
 import os
 import stat
 import sys
 import tempfile
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Optional
 
@@ -27,6 +24,7 @@ from .complexes import (
 from .datasets import build_dataset
 from .decompose import (
     DecomposeOptions,
+    clearing_filter,
     decompose_compressed,
     decompose_full,
 )
@@ -122,12 +120,7 @@ def _load_complex(args) -> FilteredCliqueComplex | FilteredCubicalComplex:
 
 
 def _build_engine(cx, args) -> PersistenceEngine:
-    return PersistenceEngine(
-        cx,
-        GF(args.field),
-        max_dim=args.max_dim if cx.kind == "clique" else None,
-        keep_empty_bars=args.keep_empty_bars,
-    )
+    return PersistenceEngine(cx, GF(args.field), keep_empty_bars=args.keep_empty_bars)
 
 
 def cmd_decompose(args) -> int:
@@ -329,8 +322,12 @@ def _bench_one_seed(args, field, seed: int) -> list[dict]:
     matching = full.matching
     lower_dim_bars = len(engine.bars(bench_dim - 1))
     rows = []
-    opts = DecomposeOptions(counters=True)
+    # D skips the rows the engine's clearing skips.  D_rk keeps only pivot
+    # rows, which clearing never skips, and the antitransposes' rows are
+    # columns of D, which the matching one dimension down does not cover
+    clear = clearing_filter(engine.matching(bench_dim - 1))
     for variant in BENCH_VARIANTS:
+        opts = DecomposeOptions(counters=True, clear_rows=clear if variant == "D" else None)
         # wrapper construction counts toward the timing, so every variant is
         # charged the same matrix-and-matching setup cost
         t0 = time.perf_counter()
@@ -338,8 +335,7 @@ def _bench_one_seed(args, field, seed: int) -> list[dict]:
         u = decompose_compressed(mat, opts)
         elapsed = time.perf_counter() - t0
         # tracemalloc slows the code it watches, so the peak comes from a
-        # second, untimed run of the same variant; it traces this process
-        # alone, so a worker process measures its own runs
+        # second, untimed run of the same variant
         tracemalloc.start()
         decompose_compressed(_make_variant(variant, d, matching), opts)
         _, peak = tracemalloc.get_traced_memory()
@@ -367,14 +363,7 @@ def cmd_bench(args) -> int:
     field = GF(args.field)
     seeds = list(range(args.seed, args.seed + args.trials))
     with _output(args.output) as out:
-        if args.parallel and len(seeds) > 1:
-            # one process per trial: the trials are CPU-bound Python
-            workers = min(len(seeds), os.cpu_count() or 1)
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-                chunks = list(pool.map(functools.partial(_bench_one_seed, args, field), seeds))
-        else:
-            chunks = [_bench_one_seed(args, field, s) for s in seeds]
-        rows = [r for chunk in chunks for r in chunk]
+        rows = [r for s in seeds for r in _bench_one_seed(args, field, s)]
         if rows:
             writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
             writer.writeheader()
@@ -431,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--field", type=int, default=2)
-    sp.add_argument("--parallel", action="store_true",
-                    help="run independent dataset trials concurrently")
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_bench)
 

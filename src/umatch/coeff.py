@@ -3,8 +3,7 @@
 A :class:`Field` performs modular arithmetic on plain ints (the fast path
 used by every sparse kernel in the package); :class:`FieldElement` wraps a
 value together with its field for callers who want self-checking operands.
-Construct fields through :func:`GF`, which specializes p = 2 to bitwise
-arithmetic behind the same interface.
+Construct fields through :func:`GF`.
 """
 
 from __future__ import annotations
@@ -101,35 +100,6 @@ class Field:
         return FieldElement(self, self.normalize(v))
 
 
-class _Field2(Field):
-    """GF(2) specialization: addition is XOR, negation is the identity."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        super().__init__(2)
-
-    def normalize(self, a: int) -> int:
-        return a & 1
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    def sub(self, a: int, b: int) -> int:
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        return a & b
-
-    def neg(self, a: int) -> int:
-        return a
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZeroError("inverse of 0 in GF(2)")
-        return 1
-
-
 _FIELD_CACHE: dict[int, Field] = {}
 
 
@@ -137,7 +107,7 @@ def GF(p: int) -> Field:
     """Return the field GF(p), cached per modulus."""
     f = _FIELD_CACHE.get(p)
     if f is None:
-        f = _Field2() if p == 2 else Field(p)
+        f = Field(p)
         _FIELD_CACHE[p] = f
     return f
 

@@ -414,58 +414,6 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
     return CompressedUmatch(d, matching, rbar, stats=counter)
 
 
-def matching_rank_oracle(d: MatrixOracle) -> frozenset[tuple[int, int]]:
-    """Support of the matching array from dense lower-left corner ranks.
-
-    (i, j) is in the support iff the rank of the lower-left submatrix rooted
-    at (i, j) exceeds each of its one-step shrinkings by exactly one.  Test
-    support only: cost grows quadratically in the dense rank computation.
-    """
-    f = d.field
-    m, n = d.nrows, d.ncols
-    dense = d.to_dense()
-
-    # ranks[i][j] = rank of rows i..m-1, cols 0..j-1
-    ranks = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(m + 1):
-        sub = dense[i:]
-        ranks[i] = _rank_profile(f, sub, n)
-    out = set()
-    for i in range(m):
-        for j in range(1, n + 1):
-            delta = ranks[i][j] - ranks[i + 1][j] - ranks[i][j - 1] + ranks[i + 1][j - 1]
-            if delta == 1:
-                out.add((i, j - 1))
-    return frozenset(out)
-
-
-def _rank_profile(f: Field, rows: list[list[int]], n: int) -> list[int]:
-    """ranks[j] = rank of the given rows restricted to columns 0..j-1."""
-    work = [list(r) for r in rows]
-    profile = [0] * (n + 1)
-    rank = 0
-    nr = len(work)
-    for j in range(n):
-        piv = None
-        for i in range(rank, nr):
-            if work[i][j]:
-                piv = i
-                break
-        if piv is not None:
-            work[rank], work[piv] = work[piv], work[rank]
-            inv = f.inv(work[rank][j])
-            prow = work[rank]
-            for i in range(rank + 1, nr):
-                if work[i][j]:
-                    lam = f.mul(work[i][j], inv)
-                    row = work[i]
-                    for jj in range(j, n):
-                        row[jj] = f.sub(row[jj], f.mul(lam, prow[jj]))
-            rank += 1
-        profile[j + 1] = rank
-    return profile
-
-
 def clearing_filter(prior: MatchingArray) -> frozenset[int]:
     """Rows to skip when decomposing the next boundary block.
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -23,18 +23,21 @@ def _read_file(path: str, reader):
         raise UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def read_triplet_text(lines: Iterable[str]) -> StoredCsMatrix:
-    """Triplet text: header line `rows cols modulus`, then `i j v` (1-based)."""
-    it = iter(enumerate(lines, start=1))
-    header = None
-    for ln, raw in it:
+def _records(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped text) of each line that is neither
+    blank nor a `#` comment."""
+    for ln, raw in enumerate(lines, start=1):
         s = raw.strip()
         if s and not s.startswith("#"):
-            header = (ln, s)
-            break
-    if header is None:
+            yield ln, s
+
+
+def read_triplet_text(lines: Iterable[str]) -> StoredCsMatrix:
+    """Triplet text: header line `rows cols modulus`, then `i j v` (1-based)."""
+    records = _records(lines)
+    ln, s = next(records, (None, None))
+    if ln is None:
         raise UsageError("empty triplet file")
-    ln, s = header
     parts = s.split()
     if len(parts) != 3:
         raise UsageError(f"line {ln}: expected `rows cols modulus`")
@@ -44,10 +47,7 @@ def read_triplet_text(lines: Iterable[str]) -> StoredCsMatrix:
         raise UsageError(f"line {ln}: non-integer header field")
     field = GF(p)
     triples = []
-    for ln, raw in it:
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
+    for ln, s in records:
         parts = s.split()
         if len(parts) != 3:
             raise UsageError(f"line {ln}: expected `i j v`")
@@ -75,10 +75,7 @@ def write_triplet_text(out: TextIO, mat: MatrixOracle) -> None:
 def read_points_csv(lines: Iterable[str]) -> np.ndarray:
     rows = []
     width = None
-    for ln, raw in enumerate(lines, start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
+    for ln, s in _records(lines):
         vals = [x for x in s.replace(",", " ").split() if x]
         try:
             row = [float(x) for x in vals]
@@ -101,10 +98,7 @@ def load_points_csv(path: str) -> np.ndarray:
 def read_distance_csv(lines: Iterable[str]) -> np.ndarray:
     """Full symmetric or lower-triangular distance matrix, one row per line."""
     rows = []
-    for ln, raw in enumerate(lines, start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
+    for ln, s in _records(lines):
         vals = [x for x in s.replace(",", " ").split() if x]
         try:
             rows.append([float(x) for x in vals])
@@ -140,26 +134,19 @@ def load_distance_csv(path: str) -> np.ndarray:
 
 def read_image_text(lines: Iterable[str]) -> np.ndarray:
     """Plain text grid: header `dims d1 d2 [d3]`, then row-major values."""
-    it = iter(enumerate(lines, start=1))
-    dims = None
-    for ln, raw in it:
-        s = raw.strip()
-        if s and not s.startswith("#"):
-            parts = s.split()
-            if parts[0] != "dims" or len(parts) not in (3, 4):
-                raise UsageError(f"line {ln}: expected `dims d1 d2 [d3]`")
-            try:
-                dims = tuple(int(x) for x in parts[1:])
-            except ValueError:
-                raise UsageError(f"line {ln}: non-integer dimension")
-            break
-    if dims is None:
+    records = _records(lines)
+    ln, s = next(records, (None, None))
+    if ln is None:
         raise UsageError("empty image file")
+    parts = s.split()
+    if parts[0] != "dims" or len(parts) not in (3, 4):
+        raise UsageError(f"line {ln}: expected `dims d1 d2 [d3]`")
+    try:
+        dims = tuple(int(x) for x in parts[1:])
+    except ValueError:
+        raise UsageError(f"line {ln}: non-integer dimension")
     vals: list[float] = []
-    for ln, raw in it:
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
+    for ln, s in records:
         try:
             vals.extend(float(x) for x in s.split())
         except ValueError:

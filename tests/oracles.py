@@ -13,30 +13,44 @@ def mod_inv(a: int, p: int) -> int:
     return pow(a % p, p - 2, p)
 
 
-def rank_mod(rows, p: int) -> int:
-    """Rank over GF(p) by plain Gaussian elimination."""
+def rank_profile(rows, p: int) -> list[int]:
+    """profile[j] = rank over GF(p) of the rows restricted to columns
+    0..j-1, by plain Gaussian elimination, column by column."""
     work = [list(r) for r in rows]
     nr = len(work)
     nc = len(work[0]) if nr else 0
+    profile = [0]
     rank = 0
     for j in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if work[i][j] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = mod_inv(work[rank][j], p)
-        for i in range(nr):
-            if i != rank and work[i][j] % p:
-                lam = (work[i][j] * inv) % p
-                work[i] = [(a - lam * b) % p for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+        piv = next((i for i in range(rank, nr) if work[i][j] % p), None)
+        if piv is not None:
+            work[rank], work[piv] = work[piv], work[rank]
+            inv = mod_inv(work[rank][j], p)
+            for i in range(rank + 1, nr):
+                if work[i][j] % p:
+                    lam = (work[i][j] * inv) % p
+                    work[i] = [(a - lam * b) % p for a, b in zip(work[i], work[rank])]
+            rank += 1
+        profile.append(rank)
+    return profile
+
+
+def rank_mod(rows, p: int) -> int:
+    """Rank over GF(p) by plain Gaussian elimination."""
+    return rank_profile(rows, p)[-1]
+
+
+def matching_rank_oracle(d):
+    """Support of the matching array of a matrix oracle, from dense
+    lower-left corner ranks: (i, j) is in it iff the rank of rows i.. and
+    columns ..j exceeds each of its one-step shrinkings by exactly one."""
+    dense, p, n = d.to_dense(), d.field.p, d.ncols
+    # ranks[i][j] = rank of rows i..m-1, columns 0..j-1
+    ranks = [rank_profile(dense[i:], p) for i in range(d.nrows)] + [[0] * (n + 1)]
+    return frozenset(
+        (i, j) for i in range(d.nrows) for j in range(n)
+        if ranks[i][j + 1] - ranks[i + 1][j + 1] - ranks[i][j] + ranks[i + 1][j] == 1
+    )
 
 
 def mat_mul(a, b, p: int):

@@ -18,7 +18,6 @@ from umatch import (
     column_validity_check,
     decompose_compressed,
     decompose_full,
-    matching_rank_oracle,
     rdv_bridge,
     retrieve,
     solve_count_audit,
@@ -44,6 +43,7 @@ from oracles import (
     is_rref_up_to_permutation_and_scale,
     mat_mul,
     mat_vec,
+    matching_rank_oracle,
     rank_mod,
     standard_rdv,
     vec_mat,

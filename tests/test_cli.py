@@ -286,14 +286,14 @@ def test_bench_determinism_modulo_timing(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_bench_parallel_flag(tmp_path):
-    out = tmp_path / "p.csv"
-    assert main(["bench", "er", "--n", "7", "--trials", "2", "--seed", "0",
-                 "--parallel", "--output", str(out)]) == 0
-    rows = list(csv.DictReader(out.read_text().splitlines()))
-    assert len(rows) == 8
-    # each worker traces its own untimed runs, as the serial mode does
-    assert all("heap_source" not in r and int(r["peak_heap_bytes"]) > 0 for r in rows)
+def test_bench_clears_d_as_the_engine_does(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "er", "--n", "12", "--output", str(out)]) == 0
+    rows = {r["variant"]: r for r in csv.DictReader(out.read_text().splitlines())}
+    # clearing skips one edge per pair of the dimension-1 matching, 11 on
+    # 12 vertices, and leaves D as few eliminations as its pivot-row submatrix
+    assert rows["D"]["rows_cleared"] == "11"
+    assert rows["D"]["eliminations"] == rows["D_rk"]["eliminations"] == "26"
 
 
 def test_bench_degenerate_tiny_graph(tmp_path):
@@ -324,6 +324,8 @@ def test_unknown_subquery_rejected(tmp_path, capsys):
     ["query", "d.csv", "retrieve", "--no-pareto"],
     ["decompose", "m.txt", "--no-pareto"],
     ["bench", "er", "--no-pareto"],
+    # bench trials run one after another, so their timings compare
+    ["bench", "er", "--parallel"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -73,11 +73,17 @@ def test_is_prime_agrees_with_trial_division():
 
 def test_gf2_specialization_behaves_like_xor():
     f = GF(2)
-    assert f.add(1, 1) == 0
-    assert f.add(1, 0) == 1
-    assert f.sub(0, 1) == 1
-    assert f.mul(1, 1) == 1
-    assert f.neg(1) == 1
+    for a in (0, 1):
+        assert f.neg(a) == a
+        for b in (0, 1):
+            assert f.add(a, b) == a ^ b
+            assert f.sub(a, b) == a ^ b
+            assert f.mul(a, b) == a & b
+    assert f.inv(1) == 1
+    assert f.div(0, 1) == 0 and f.div(1, 1) == 1
+    assert f.normalize(-1) == 1
+    with pytest.raises(DivisionByZeroError):
+        f.inv(0)
 
 
 @given(

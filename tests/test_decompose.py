@@ -13,7 +13,6 @@ from umatch import (
     antitranspose_view,
     decompose_compressed,
     decompose_full,
-    matching_rank_oracle,
     pareto_pairs,
 )
 from umatch.complexes import FilteredCubicalComplex, boundary_oracle
@@ -26,7 +25,7 @@ import numpy as np
 from umatch.complexes import FilteredCliqueComplex
 
 from conftest import clique_inputs, image_inputs, random_stored
-from oracles import mat_mul, pivot_block_reference
+from oracles import mat_mul, matching_rank_oracle, pivot_block_reference
 
 
 def eq6_matrix(f):

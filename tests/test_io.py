@@ -65,6 +65,30 @@ def test_image_text():
         read_image_text(["2 2", "1 2 3 4"])
 
 
+@pytest.mark.parametrize("reader, lines, message", [
+    (read_triplet_text, ["# c", "", "2 2"], "line 3: expected `rows cols modulus`"),
+    (read_triplet_text, ["  # c", "2 2 x"], "line 2: non-integer header field"),
+    (read_triplet_text, ["2 2 7", "# c", "  ", "1 1"], "line 4: expected `i j v`"),
+    (read_triplet_text, ["2 2 7", "1 1 a"], "line 2: non-integer entry"),
+    (read_triplet_text, ["2 2 7", "# c", "3 1 1"], "line 3: entry (3, 1) out of range"),
+    (read_triplet_text, ["# c", ""], "empty triplet file"),
+    (read_points_csv, ["# c", "1, 2", "", "x, 3"], "line 4: non-numeric coordinate"),
+    (read_points_csv, ["1 2", "# c", "3"], "line 3: inconsistent row width"),
+    (read_points_csv, ["# c", "  "], "empty point cloud"),
+    (read_distance_csv, ["0 1", "# c", "1 y"], "line 3: non-numeric distance"),
+    (read_distance_csv, ["#"], "empty distance matrix"),
+    (read_image_text, ["# c", "", "dims 2"], "line 3: expected `dims d1 d2 [d3]`"),
+    (read_image_text, ["# c", "dims 2 x"], "line 2: non-integer dimension"),
+    (read_image_text, ["dims 1 2", "# c", "1 z"], "line 3: non-numeric pixel"),
+    (read_image_text, ["# c"], "empty image file"),
+    (read_image_text, ["dims 2 2", "# c", "1 2", "", "3"], "expected 4 pixels, got 3"),
+])
+def test_text_readers_skip_comments_and_blanks_in_line_numbers(reader, lines, message):
+    with pytest.raises(UsageError) as exc:
+        reader(lines)
+    assert str(exc.value) == message
+
+
 def test_dump_json_bytes():
     buf = io.StringIO()
     dump_json({"b": [1, 0.5, None], "a": {"y": "z\u00e9", "x": []}}, buf)
