@@ -40,7 +40,7 @@ from .io import (
     load_triplet_file,
     write_triplet_text,
 )
-from .linalg import _dense_product, _invert_unitriangular
+from .linalg import _Product, _invert_unitriangular
 from .matrix import antitranspose_view, matvec, submatrix_view
 from .persistence import Chain, NEVER, NEVER_BOUNDS, PersistenceEngine
 from .retrieve import RetrievalTarget, retrieve
@@ -140,8 +140,8 @@ def cmd_decompose(args) -> int:
             full = decompose_full(d)
             r = _invert_unitriangular(full.rinv)
             c = _invert_unitriangular(full.cinv)
-            rm = _dense_product(r, u.matching.to_oracle(d.field)).to_dense()
-            dc = _dense_product(d, c).to_dense()
+            rm = _Product(r, u.matching.to_oracle(d.field)).to_dense()
+            dc = _Product(d, c).to_dense()
             summary["verified"] = rm == dc and full.matching == u.matching
             if not summary["verified"]:
                 raise UmatchError("verification failed: defining identity violated")

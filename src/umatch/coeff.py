@@ -82,16 +82,9 @@ class Field:
         return self.p - a if a else 0
 
     def inv(self, a: int) -> int:
-        """Inverse by extended Euclid; O(log p) and table-free."""
         if a == 0:
             raise DivisionByZeroError(f"inverse of 0 in {self!r}")
-        t, new_t = 0, 1
-        r, new_r = self.p, a
-        while new_r:
-            q = r // new_r
-            t, new_t = new_t, t - q * new_t
-            r, new_r = new_r, r - q * new_r
-        return t % self.p
+        return pow(a, -1, self.p)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

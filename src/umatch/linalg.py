@@ -16,7 +16,6 @@ from .matrix import (
     StoredCsMatrix,
     _accumulate,
     matvec,
-    scale,
     vecmat,
 )
 from .retrieve import PivotBlockProduct, RetrievalTarget, _Retriever, retrieve, triangular_solve
@@ -272,7 +271,7 @@ def to_echelon(u: CompressedUmatch, orientation: str = "row") -> MatrixOracle:
     if orientation == "row":
         return _RowEchelonOracle(u)
     if orientation == "column":
-        return _ReducedProductOracle(u)
+        return umatch_to_rdv(u).reduced
     raise UsageError(f"orientation must be 'row' or 'column', got {orientation!r}")
 
 
@@ -289,56 +288,44 @@ class RdvDecomposition:
     d: Optional[MatrixOracle] = None
 
 
-class _ReducedProductOracle(MatrixOracle):
-    """Lazy oracle for R @ M of a compressed decomposition."""
+class _Factor(MatrixOracle):
+    """Lazy view of one factor of the proper decomposition determined by u
+    (which is 'R', 'Rinv', 'C' or 'Cinv'); each line is one retrieval, which
+    checks its index."""
 
-    def __init__(self, u: CompressedUmatch):
-        self.u = u
+    def __init__(self, u: CompressedUmatch, which: str):
+        self.u, self.which = u, which
         self.field = u.field
-        self.nrows = u.d.nrows
-        self.ncols = u.d.ncols
-
-    def col(self, j: int) -> SparseVector:
-        self._check_col(j)
-        u = self.u
-        r = u.matching.row(j)
-        if r is None:
-            return SparseVector.zero(self.field)
-        col_r = retrieve(u, RetrievalTarget("R", "col", r))
-        return scale(u.matching.coeff(r), col_r)
+        self.nrows = self.ncols = u.d.nrows if which.startswith("R") else u.d.ncols
 
     def row(self, i: int) -> SparseVector:
-        self._check_row(i)
-        u = self.u
-        f = self.field
-        row_r = retrieve(u, RetrievalTarget("R", "row", i))
-        ent = []
-        for r, v in row_r.entries:
-            c = u.matching.col(r)
-            if c is not None:
-                ent.append((c, f.mul(v, u.matching.coeff(r))))
-        return SparseVector(f, tuple(sorted(ent)), _checked=True)
+        return retrieve(self.u, RetrievalTarget(self.which, "row", i))
+
+    def col(self, j: int) -> SparseVector:
+        return retrieve(self.u, RetrievalTarget(self.which, "col", j))
+
+
+class _Product(MatrixOracle):
+    """Lazy view of a @ b: a row is a combination of rows of b, a column a
+    combination of columns of a; a.row and b.col check the index."""
+
+    def __init__(self, a: MatrixOracle, b: MatrixOracle):
+        self.a, self.b = a, b
+        self.field = a.field
+        self.nrows, self.ncols = a.nrows, b.ncols
+
+    def row(self, i: int) -> SparseVector:
+        return vecmat(self.a.row(i), self.b)
+
+    def col(self, j: int) -> SparseVector:
+        return matvec(self.a, self.b.col(j))
 
 
 def umatch_to_rdv(u: CompressedUmatch) -> RdvDecomposition:
     """R @ M = D @ C is already a right-reduction; expose it lazily."""
-    class _COracle(MatrixOracle):
-        def __init__(self, uu):
-            self.u = uu
-            self.field = uu.field
-            self.nrows = uu.d.ncols
-            self.ncols = uu.d.ncols
-
-        def col(self, j):
-            self._check_col(j)
-            return retrieve(self.u, RetrievalTarget("C", "col", j))
-
-        def row(self, i):
-            self._check_row(i)
-            return retrieve(self.u, RetrievalTarget("C", "row", i))
-
     low = {c: r for r, c, _ in u.matching.pairs}
-    return RdvDecomposition(_ReducedProductOracle(u), _COracle(u), low, d=u.d)
+    reduced = _Product(_Factor(u, "R"), u.matching.to_oracle(u.field))
+    return RdvDecomposition(reduced, _Factor(u, "C"), low, d=u.d)
 
 
 def rdv_to_umatch(rdv: RdvDecomposition) -> FullUmatch:
@@ -383,7 +370,7 @@ def rdv_to_umatch(rdv: RdvDecomposition) -> FullUmatch:
     matching = MatchingArray(m, n, pairs)
     rinv = StoredCsMatrix.from_row_dicts(f, m, m, rinv_rows)
     cinv = _invert_unitriangular(v)
-    d = rdv.d if rdv.d is not None else _dense_product(red, _invert_unitriangular(v))
+    d = rdv.d if rdv.d is not None else _Product(red, cinv)
     return FullUmatch(d, rinv, cinv, matching)
 
 
@@ -408,26 +395,13 @@ def _check_unitriangular(v: MatrixOracle) -> None:
 
 
 def _invert_unitriangular(v: MatrixOracle) -> StoredCsMatrix:
-    f = v.field
-    n = v.ncols
-    cols = []
-    for j in range(n):
-        x = triangular_solve(v, SparseVector.unit(f, j), side="left")
-        cols.append(x)
-    rows: dict[int, dict[int, int]] = {}
-    for j, x in enumerate(cols):
-        for i, val in x.entries:
-            rows.setdefault(i, {})[j] = val
-    return StoredCsMatrix.from_row_dicts(f, n, n, rows)
-
-
-def _dense_product(a: MatrixOracle, b: MatrixOracle) -> StoredCsMatrix:
-    return StoredCsMatrix.from_rows(a.field, a.nrows, b.ncols,
-                                    [vecmat(a.row(i), b) for i in range(a.nrows)])
+    f, n = v.field, v.ncols
+    return StoredCsMatrix.from_triplets(f, n, n, (
+        (i, j, val) for j in range(n)
+        for i, val in triangular_solve(v, SparseVector.unit(f, j), side="left").entries))
 
 
 def umatch_to_rdv_full(fu: FullUmatch) -> RdvDecomposition:
     c = _invert_unitriangular(fu.cinv)
-    reduced = _dense_product(fu.d, c)
     low = {cc: r for r, cc, _ in fu.matching.pairs}
-    return RdvDecomposition(reduced, c, low, d=fu.d)
+    return RdvDecomposition(_Product(fu.d, c), c, low, d=fu.d)

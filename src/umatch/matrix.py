@@ -181,11 +181,6 @@ class MatrixOracle:
         if not 0 <= j < self.ncols:
             raise UsageError(f"column index {j} out of range [0, {self.ncols})")
 
-    def entry(self, i: int, j: int) -> int:
-        self._check_row(i)
-        self._check_col(j)
-        return self.row(i).get(j)
-
     def pareto_leading(self, i: int) -> Optional[tuple[int, int]]:
         """Row i's apparent pair (see _apparent_pair), or None when this
         oracle declines the probe.  Subclasses may override with a cheaper

@@ -68,10 +68,6 @@ class Bar:
         self.death_value = (
             engine.order(dim + 1).births[death_pos] if death_pos is not None else math.inf
         )
-        self.birth_index = engine.global_index(dim, birth_pos)
-        self.death_index = (
-            engine.global_index(dim + 1, death_pos) if death_pos is not None else None
-        )
 
     @property
     def finite(self) -> bool:
@@ -227,9 +223,6 @@ class PersistenceEngine:
                 out.append(Bar(self, n, k, None))
         out.sort(key=lambda b: (b.birth_pos, b.death_pos if b.death_pos is not None else math.inf))
         return out
-
-    def barcode(self, dims) -> dict[int, list[Bar]]:
-        return {n: self.bars(n) for n in dims}
 
     # -- representatives -------------------------------------------------
 

@@ -26,7 +26,7 @@ from umatch.linalg import (
     ImageStep,
     PreimageStep,
     RdvDecomposition,
-    _dense_product,
+    _Product,
     _invert_unitriangular,
     image_space,
     join,
@@ -273,7 +273,7 @@ def test_to_lu_is_sparse_at_rank_406():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20, peak
-    lp, nu = _dense_product(l, pm), _dense_product(nm, um)
+    lp, nu = _Product(l, pm), _Product(nm, um)
     assert [lp.row(i) for i in range(k)] == [nu.row(i) for i in range(k)]
     for i in range(k):
         assert l.row(i).trailing() == (i, 1)
@@ -366,25 +366,28 @@ def test_rdv_round_trip_reproduces_v():
             m, n = rnd.randint(1, 6), rnd.randint(1, 6)
             d = random_stored(rnd, p, m, n)
             red, v, lows = standard_rdv(d.to_dense(), p)
-            rdv = RdvDecomposition(
-                StoredCsMatrix.from_dense(f, red),
-                StoredCsMatrix.from_dense(f, v),
-                lows,
-                d=d,
-            )
-            full = rdv_bridge(rdv)
-            # the defining identity holds with c = v
-            r = _invert_unitriangular(full.rinv).to_dense()
-            mm = full.matching.to_oracle(f).to_dense()
-            c = _invert_unitriangular(full.cinv).to_dense()
-            assert c == v
-            assert mat_mul(r, mm, p) == mat_mul(d.to_dense(), c, p)
-            # round trip back to a right-reduction reproduces v and the
-            # reduced matrix exactly
-            back = rdv_bridge(full)
-            assert back.v.to_dense() == v
-            assert back.reduced.to_dense() == red
-            assert back.low == lows
+            # without d, the bridge rebuilds D as reduced @ v^-1
+            for given_d in (d, None):
+                rdv = RdvDecomposition(
+                    StoredCsMatrix.from_dense(f, red),
+                    StoredCsMatrix.from_dense(f, v),
+                    lows,
+                    d=given_d,
+                )
+                full = rdv_bridge(rdv)
+                assert full.d.to_dense() == d.to_dense()
+                # the defining identity holds with c = v
+                r = _invert_unitriangular(full.rinv).to_dense()
+                mm = full.matching.to_oracle(f).to_dense()
+                c = _invert_unitriangular(full.cinv).to_dense()
+                assert c == v
+                assert mat_mul(r, mm, p) == mat_mul(d.to_dense(), c, p)
+                # round trip back to a right-reduction reproduces v and the
+                # reduced matrix exactly
+                back = rdv_bridge(full)
+                assert back.v.to_dense() == v
+                assert back.reduced.to_dense() == red
+                assert back.low == lows
 
 
 def test_rdv_bridge_rejects_non_unitriangular():

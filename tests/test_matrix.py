@@ -13,20 +13,22 @@ from umatch import (
     axpy,
     boundary_oracle,
     decompose_compressed,
+    decompose_full,
     dot,
     matvec,
+    rdv_bridge,
     scale,
     submatrix_view,
     to_echelon,
     vecmat,
 )
 from umatch.complexes import FilteredCliqueComplex, FilteredCubicalComplex
-from umatch.linalg import umatch_to_rdv
+from umatch.linalg import RdvDecomposition, umatch_to_rdv
 from umatch.matrix import _accumulate
 from umatch.retrieve import PivotBlockProduct
 
 from conftest import random_stored
-from oracles import mat_mul
+from oracles import mat_mul, standard_rdv
 
 
 def test_sparse_vector_invariants_enforced():
@@ -216,6 +218,14 @@ def _cubical(rnd, f):
     return boundary_oracle(FilteredCubicalComplex(pixels), rnd.choice([1, 2]), f)
 
 
+def _bridged_d(d, u):
+    # the D that the bridge rebuilds from a right-reduction given without d
+    f = d.field
+    red, v, lows = standard_rdv(d.to_dense(), f.p)
+    rdv = RdvDecomposition(StoredCsMatrix.from_dense(f, red), StoredCsMatrix.from_dense(f, v), lows)
+    return rdv_bridge(rdv).d
+
+
 def _decomposed(view):
     def build(rnd, f):
         d = random_stored(rnd, f.p, 7, 6)
@@ -232,6 +242,8 @@ ORACLES = {
     "column_echelon": _decomposed(lambda d, u: to_echelon(u, "column")),
     "reduced_product": _decomposed(lambda d, u: umatch_to_rdv(u).reduced),
     "rdv_c": _decomposed(lambda d, u: umatch_to_rdv(u).v),
+    "full_bridge_reduced": _decomposed(lambda d, u: rdv_bridge(decompose_full(d)).reduced),
+    "bridge_rebuilt_d": _decomposed(_bridged_d),
     "clique_boundary": _clique,
     "cubical_boundary": _cubical,
 }
