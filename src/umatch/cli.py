@@ -22,12 +22,7 @@ from .complexes import (
     torus_metric,
 )
 from .datasets import build_dataset
-from .decompose import (
-    DecomposeOptions,
-    clearing_filter,
-    decompose_compressed,
-    decompose_full,
-)
+from .decompose import DecomposeOptions, clearing_filter, decompose_compressed
 from .errors import UmatchError, UsageError
 from .io import (
     bar_json,
@@ -40,8 +35,7 @@ from .io import (
     load_triplet_file,
     write_triplet_text,
 )
-from .linalg import _Product, _invert_unitriangular
-from .matrix import antitranspose_view, matvec, submatrix_view
+from .matrix import antitranspose_view, matvec, submatrix_view, vecmat
 from .persistence import Chain, NEVER, NEVER_BOUNDS, PersistenceEngine
 from .retrieve import RetrievalTarget, retrieve
 from .sparsify import column_validity_check, early_stop_solve
@@ -137,12 +131,7 @@ def cmd_decompose(args) -> int:
             "nnz_rbar_offdiag": u.rbar.nnz_offdiag(),
         }
         if args.verify:
-            full = decompose_full(d)
-            r = _invert_unitriangular(full.rinv)
-            c = _invert_unitriangular(full.cinv)
-            rm = _Product(r, u.matching.to_oracle(d.field)).to_dense()
-            dc = _Product(d, c).to_dense()
-            summary["verified"] = rm == dc and full.matching == u.matching
+            summary["verified"] = _verify_umatch(u)
             if not summary["verified"]:
                 raise UmatchError("verification failed: defining identity violated")
         if args.factors:
@@ -168,12 +157,39 @@ def cmd_barcode(args) -> int:
     return 0
 
 
+def _rinv_rows(u):
+    """The rows of R^-1, each rebuilt by one retrieval from u."""
+    return (retrieve(u, RetrievalTarget("Rinv", "row", i)) for i in range(u.d.nrows))
+
+
+def _verify_umatch(u) -> bool:
+    """Certify u without decompressing it: row i of R^-1 must lead with
+    (i, 1), and row i of R^-1 D must be zero for an unmatched i and lead
+    with (M's column at i, M's coefficient there) for a matched one.  Then
+    R^-1 is upper unitriangular with the stored rbar as its rho-block, and
+    R^-1 D = M C^-1 for an upper unitriangular C^-1 (row kappa[p] is row
+    rho[pi[p]] of R^-1 D over m_diag[p], the others unit rows): u is a
+    U-match decomposition of D, and as the matching is unique, M is D's.
+    A broken pivot block may raise InternalInconsistencyError instead."""
+    m = u.matching
+    for i, row in enumerate(_rinv_rows(u)):
+        want = (m.col(i), m.coeff(i)) if i in m.rho_pos else None
+        if row.leading() != (i, 1) or vecmat(row, u.d).leading() != want:
+            return False
+    return True
+
+
 def _verify_barcode(engine, dims) -> bool:
+    """Every representative is a cycle whose latest cell is its bar's birth
+    cell, and whose lifespan is the bar's interval: it first bounds at the
+    death value, or never for an infinite bar."""
     for n in dims:
+        d = engine.boundary(n)
         for bar in engine.bars(n):
             ch = engine.cycle_representative(bar)
-            d = engine.boundary(n)
-            if n >= 1 and d is not None and matvec(d, ch.vector):
+            if ch.birth_position() != bar.birth_pos or d is not None and matvec(d, ch.vector):
+                return False
+            if engine.lifespan(ch) != bar.interval():
                 return False
     return True
 
@@ -315,11 +331,9 @@ def _bench_one_seed(args, field, seed: int) -> list[dict]:
     d = engine.boundary(bench_dim)
     if d is None:
         return []
-    # load time for the source matrix and the matching is charged to every
-    # variant alike, so the submatrix variants carry no hidden discount
-    full = decompose_full(d)
-    nnz_rinv = full.rinv.nnz_offdiag()
-    matching = full.matching
+    base = engine.umatch(bench_dim)
+    matching = base.matching
+    nnz_rinv = sum(row.nnz for row in _rinv_rows(base)) - d.nrows
     lower_dim_bars = len(engine.bars(bench_dim - 1))
     rows = []
     # D skips the rows the engine's clearing skips.  D_rk keeps only pivot

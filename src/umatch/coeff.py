@@ -142,18 +142,3 @@ class FieldElement:
     def __repr__(self) -> str:
         return f"{self.value} (mod {self.field.p})"
 
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inverse()

@@ -43,6 +43,8 @@ NO_SOLUTION = Sentinel("NoSolution")
 def solve_dx_b(u: CompressedUmatch, b: SparseVector) -> Union[SparseVector, Sentinel]:
     """Solve D x = b; the returned solution minimizes max supp(x) over all
     solutions.  Returns NO_SOLUTION when b is outside the column space."""
+    if b.field != u.field:
+        raise UsageError("right-hand side lies in a different field")
     if b.entries and b.entries[-1][0] >= u.d.nrows:
         raise UsageError("right-hand side longer than the codomain")
     w = matvec(u.rbar, u.restrict(b, u.rho_pos))
@@ -55,6 +57,8 @@ def solve_dx_b(u: CompressedUmatch, b: SparseVector) -> Union[SparseVector, Sent
 def solve_yd_c(u: CompressedUmatch, c: SparseVector) -> Union[SparseVector, Sentinel]:
     """Solve y D = c; the returned solution maximizes min supp(y) over all
     solutions.  Returns NO_SOLUTION when c is outside the row space."""
+    if c.field != u.field:
+        raise UsageError("right-hand side lies in a different field")
     if c.entries and c.entries[-1][0] >= u.d.ncols:
         raise UsageError("right-hand side longer than the domain")
     t = _Retriever(u).solve_a_right(u.restrict(c, u.kappa_pos))
@@ -122,14 +126,6 @@ class Meet:
 class Join:
     left: object
     right: object
-
-
-def meet(a, b) -> Meet:
-    return Meet(a, b)
-
-
-def join(a, b) -> Join:
-    return Join(a, b)
 
 
 def kernel_space() -> PreimageStep:

@@ -24,7 +24,7 @@ from .decompose import (
     decompose_compressed,
 )
 from .errors import InternalInconsistencyError, UsageError
-from .linalg import NO_SOLUTION, Join, Meet, Sentinel, eval_lattice, solve_dx_b
+from .linalg import NO_SOLUTION, Sentinel, eval_lattice, solve_dx_b
 from .matrix import SparseVector, axpy, matvec, scale
 from .retrieve import RetrievalTarget, retrieve
 from .sparsify import early_stop_solve
@@ -110,10 +110,6 @@ class ImageOfFiltered:
     """Boundaries of (n+1)-chains supported on the first p cells."""
     n: int
     p: float
-
-
-SaecularMeet = Meet
-SaecularJoin = Join
 
 
 @dataclass(frozen=True)
@@ -311,8 +307,9 @@ class PersistenceEngine:
         raise UsageError(f"unrecognized saecular expression {space!r}")
 
     def saecular_select(self, space) -> JordanBasisSelection:
-        """Jordan columns spanning the requested saecular-lattice element,
-        selected from the sparsity pattern of the matchings."""
+        """Jordan columns spanning the requested saecular-lattice element
+        (leaves combined by linalg.Meet and Join), selected from the
+        sparsity pattern of the matchings."""
         _, gens = eval_lattice(space, self._saecular_leaf)
         return JordanBasisSelection(tuple(sorted(gens)))
 

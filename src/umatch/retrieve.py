@@ -35,6 +35,8 @@ class RetrievalTarget:
             raise UsageError(f"unknown factor {self.which!r}; expected one of {_TARGET_KINDS}")
         if self.axis not in _AXES:
             raise UsageError(f"unknown axis {self.axis!r}; expected 'row' or 'col'")
+        if not isinstance(self.index, int) or isinstance(self.index, bool):
+            raise UsageError(f"index must be an int, got {self.index!r}")
 
 
 class PivotBlockProduct(MatrixOracle):

@@ -1,13 +1,30 @@
 import csv
 import json
 import os
+import random
 import stat
 
 import numpy as np
 import pytest
 
 import umatch.cli
-from umatch.cli import main
+from umatch import (
+    GF,
+    PersistenceEngine,
+    SparseVector,
+    StoredCsMatrix,
+    decompose_compressed,
+    decompose_full,
+)
+from umatch.cli import _verify_barcode, _verify_umatch, main
+from umatch.datasets import er_complex
+from umatch.decompose import CompressedUmatch, MatchingArray
+from umatch.errors import InternalInconsistencyError
+from umatch.linalg import _Product, _invert_unitriangular
+from umatch.matrix import axpy
+from umatch.persistence import Chain
+
+from conftest import random_stored
 
 
 def write_circle_points(path, n=12):
@@ -26,6 +43,91 @@ def test_decompose_summary_and_verify(tmp_path, capsys):
     assert data["rank"] == 1
     assert data["verified"] is True
     assert data["field"] == 7
+
+
+def dense_reference(u) -> bool:
+    """A second, uncompressed factorization of D, with R M and D C
+    compared as dense arrays, and its matching compared with u's."""
+    d = u.d
+    full = decompose_full(d)
+    rm = _Product(_invert_unitriangular(full.rinv), u.matching.to_oracle(d.field))
+    dc = _Product(d, _invert_unitriangular(full.cinv))
+    return rm.to_dense() == dc.to_dense() and full.matching == u.matching
+
+
+def certificate_rejects(u) -> bool:
+    try:
+        return not _verify_umatch(u)
+    except InternalInconsistencyError:
+        return True
+
+
+def random_decompositions(p, count):
+    rnd = random.Random(900 + p)
+    for _ in range(count):
+        m, n = rnd.randint(1, 9), rnd.randint(1, 9)
+        yield rnd, decompose_compressed(random_stored(rnd, p, m, n, rnd.choice((0.2, 0.45, 0.7))))
+
+
+def with_parts(u, pairs, rbar_rows):
+    k = len(pairs)
+    return CompressedUmatch(u.d, MatchingArray(u.d.nrows, u.d.ncols, pairs),
+                            StoredCsMatrix.from_row_dicts(u.field, k, k, rbar_rows))
+
+
+def rbar_rows(u):
+    return {q: dict(u.rbar.row(q).entries) for q in range(u.rank)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_certificate_accepts_what_the_dense_reference_accepts(p):
+    for _, u in random_decompositions(p, 40):
+        assert dense_reference(u)
+        assert _verify_umatch(u)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_certificate_rejects_a_broken_decomposition(p):
+    seen = set()
+    for rnd, u in random_decompositions(p, 40):
+        m, k = u.matching, u.rank
+        pairs = list(m.pairs)
+        if k == 0:
+            continue
+        q = rnd.randrange(k)
+        col_of = [m.kappa[m.pi_inv[a]] for a in range(k)]
+        mutants = {}
+        # row rho[q] of R^-1 gains a multiple of row rho[b]: before the
+        # diagonal, or leading R^-1 D before col_of[q], that breaks the
+        # certificate, while the dense check never reads rbar
+        spots = [b for b in range(k) if b < q or col_of[b] < col_of[q]]
+        if spots:
+            rows = rbar_rows(u)
+            b = rnd.choice(spots)
+            rows[q][b] = (rows[q].get(b, 0) + rnd.randrange(1, p)) % p
+            mutants["rbar"] = with_parts(u, pairs, rows)
+            assert dense_reference(mutants["rbar"])
+        keep = [a for a in range(k) if a != q]
+        rows = rbar_rows(u)
+        mutants["dropped"] = with_parts(u, [pairs[a] for a in keep], {
+            i: {keep.index(b): v for b, v in rows[a].items() if b != q}
+            for i, a in enumerate(keep)})
+        free = [c for c in range(m.ncols) if c not in m.kappa_pos]
+        if free:
+            r, _, v = pairs[q]
+            mutants["moved"] = with_parts(
+                u, pairs[:q] + [(r, rnd.choice(free), v)] + pairs[q + 1:], rbar_rows(u))
+        if p > 2:
+            r, c, v = pairs[q]
+            mutants["m_diag"] = with_parts(
+                u, pairs[:q] + [(r, c, v % (p - 1) + 1)] + pairs[q + 1:], rbar_rows(u))
+        for name, mutant in mutants.items():
+            assert certificate_rejects(mutant), name
+            if name != "rbar":
+                assert not dense_reference(mutant), name
+        seen.update(mutants)
+    assert seen == ({"rbar", "dropped", "moved", "m_diag"} if p > 2
+                    else {"rbar", "dropped", "moved"})
 
 
 def test_decompose_empty_matrix(tmp_path):
@@ -164,6 +266,34 @@ def test_barcode_command(tmp_path):
     h1 = [b for b in data["bars"] if b["dimension"] == 1]
     assert len(h1) == 1
     assert abs(h1[0]["birth"] - 2 * np.sin(np.pi / 12)) < 1e-9
+
+
+def test_barcode_verify_rejects_a_wrong_representative():
+    engine = PersistenceEngine(er_complex(12, seed=0), GF(2))
+    assert _verify_barcode(engine, [0, 1])
+    real = engine.cycle_representative
+
+    def verified_with(pos, chain, n):
+        engine.cycle_representative = lambda b: chain if b.birth_pos == pos else real(b)
+        return _verify_barcode(engine, [n])
+
+    a, b = [bar for bar in engine.bars(1) if bar.finite][:2]
+    # a cycle of another bar
+    assert not verified_with(a.birth_pos, real(b), 1)
+    # not a cycle
+    assert not verified_with(a.birth_pos, Chain(1, axpy(1, SparseVector.unit(GF(2), 0),
+                                                        real(a).vector)), 1)
+    # the sum of the cycles of an older bar and of a younger one that dies
+    # first is born with the younger and bounds with the older; in
+    # dimension 0 every vertex is born at 0, so only its latest cell tells
+    # it from the older bar's cycle
+    for n in (0, 1):
+        bars = [bar for bar in engine.bars(n) if bar.finite]
+        young, old = next((x, y) for x in bars for y in bars
+                          if y.birth_pos < x.birth_pos and y.death_value > x.death_value)
+        mixed = Chain(n, axpy(1, real(old).vector, real(young).vector))
+        assert not verified_with(young.birth_pos, mixed, n)
+        assert not verified_with(old.birth_pos, mixed, n)
 
 
 def test_barcode_image_input(tmp_path):

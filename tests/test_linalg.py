@@ -24,14 +24,14 @@ from umatch.linalg import (
     CodomainStep,
     DomainStep,
     ImageStep,
+    Join,
+    Meet,
     PreimageStep,
     RdvDecomposition,
     _Product,
     _invert_unitriangular,
     image_space,
-    join,
     kernel_space,
-    meet,
 )
 from umatch.datasets import er_complex
 from umatch.matrix import matvec, vecmat
@@ -125,6 +125,23 @@ def test_kernel_coords_worked_example():
         kernel_coords(u, SparseVector.unit(f, 0), side="right")
 
 
+def test_solve_dx_b_rejects_a_right_hand_side_over_another_field():
+    u = decompose_compressed(eq6(GF(7)))
+    # b = (1, 1) lies in the column space over GF(7); over GF(2) it is a
+    # usage error, not an inconsistent system
+    assert solve_dx_b(u, SparseVector.from_pairs(GF(7), [(0, 1), (1, 1)])) is not NO_SOLUTION
+    with pytest.raises(UsageError):
+        solve_dx_b(u, SparseVector.from_pairs(GF(2), [(0, 1), (1, 1)]))
+
+
+def test_solve_yd_c_rejects_a_right_hand_side_over_another_field():
+    u = decompose_compressed(eq6(GF(7)))
+    # c = (3, 1) is the first row of D over GF(7)
+    assert solve_yd_c(u, SparseVector.from_pairs(GF(7), [(0, 3), (1, 1)])) is not NO_SOLUTION
+    with pytest.raises(UsageError):
+        solve_yd_c(u, SparseVector.from_pairs(GF(2), [(0, 1), (1, 1)]))
+
+
 def test_kernel_coords_matches_dense_inverse():
     rnd = random.Random(55)
     for p in (2, 7):
@@ -192,7 +209,7 @@ def test_subspace_basis_against_dense_rank():
                 want = (n - u.rank) + sum(1 for r in u.rho if r < pp)
                 assert pre.dimension == want
                 # meet with F_q drops generators supported outside [q]
-                both = subspace_basis(u, meet(DomainStep(q), PreimageStep(pp)))
+                both = subspace_basis(u, Meet(DomainStep(q), PreimageStep(pp)))
                 assert set(both.generators) == {
                     g for g in pre.generators if g < q
                 }
@@ -210,7 +227,7 @@ def test_subspace_basis_against_dense_rank():
                     assert rank_mod(span + [v], p) == rank_mod(span, p)
         g_half = subspace_basis(u, CodomainStep(m // 2))
         assert g_half.dimension == m // 2
-        joined = subspace_basis(u, join(CodomainStep(m // 2), ImageStep(n)))
+        joined = subspace_basis(u, Join(CodomainStep(m // 2), ImageStep(n)))
         assert set(joined.generators) == set(g_half.generators) | set(
             subspace_basis(u, ImageStep(n)).generators
         )
@@ -219,7 +236,7 @@ def test_subspace_basis_against_dense_rank():
 def test_subspace_basis_rejects_mixed_sides():
     u = decompose_compressed(eq6(GF(7)))
     with pytest.raises(UsageError):
-        subspace_basis(u, meet(DomainStep(1), CodomainStep(1)))
+        subspace_basis(u, Meet(DomainStep(1), CodomainStep(1)))
 
 
 def test_to_lu_worked_example_and_random():

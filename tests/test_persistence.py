@@ -20,13 +20,8 @@ from umatch import (
 )
 from umatch.complexes import FilteredCliqueComplex, FilteredCubicalComplex
 from umatch.datasets import circle_complex, torus_complex
-from umatch.persistence import (
-    BoundariesBorn,
-    CyclesBorn,
-    ImageOfFiltered,
-    SaecularJoin,
-    SaecularMeet,
-)
+from umatch.linalg import Join, Meet
+from umatch.persistence import BoundariesBorn, CyclesBorn, ImageOfFiltered
 
 from conftest import clique_inputs, image_inputs
 from oracles import (
@@ -372,10 +367,10 @@ def test_saecular_selections():
         assert set(b.generators) <= set(z.generators)
     # meets and joins operate on generator sets
     half = engine.n_cells_total // 2
-    m = engine.saecular_select(SaecularMeet(CyclesBorn(1, math.inf), CyclesBorn(1, half)))
+    m = engine.saecular_select(Meet(CyclesBorn(1, math.inf), CyclesBorn(1, half)))
     assert set(m.generators) == set(engine.saecular_select(CyclesBorn(1, half)).generators)
     j = engine.saecular_select(
-        SaecularJoin(BoundariesBorn(1, half), CyclesBorn(1, half))
+        Join(BoundariesBorn(1, half), CyclesBorn(1, half))
     )
     assert set(j.generators) == set(engine.saecular_select(CyclesBorn(1, half)).generators)
     # image of the filtered next dimension: dimension matches a rank count

@@ -149,6 +149,12 @@ def test_out_of_range_retrieval_rejected():
         RetrievalTarget("Q", "col", 0)
 
 
+@pytest.mark.parametrize("index", [1.5, True, "1", None])
+def test_retrieval_index_must_be_an_int(index):
+    with pytest.raises(UsageError):
+        RetrievalTarget("C", "col", index)
+
+
 @pytest.mark.parametrize("p", [2, 7])
 def test_inner_identities_dense(p):
     rnd = random.Random(90 + p)
