@@ -35,7 +35,7 @@ from .io import (
     load_triplet_file,
     write_triplet_text,
 )
-from .matrix import antitranspose_view, matvec, submatrix_view, vecmat
+from .matrix import SparseVector, antitranspose_view, matvec, submatrix_view, vecmat
 from .persistence import Chain, NEVER, NEVER_BOUNDS, PersistenceEngine
 from .retrieve import RetrievalTarget, retrieve
 from .sparsify import column_validity_check, early_stop_solve
@@ -255,8 +255,6 @@ def _parse_chain(cx, field, text: Optional[str], flag: str = "--chain") -> Chain
         if key not in order.pos:
             raise UsageError(f"cell {cellref} is not in the complex")
         pairs.append((order.pos[key], coeff))
-    from .matrix import SparseVector
-
     return Chain(dim, SparseVector.from_pairs(field, pairs))
 
 

@@ -3,11 +3,11 @@
 A complex stores its cells per dimension, sorted by filtration order, and
 exposes each boundary operator as a lazy MatrixOracle whose rows are built
 by a coface enumerator and whose columns are built by a face enumerator.
-The matrices themselves are never materialized.  A clique complex builds
-each level of cliques, and finds the apparent pairs of each boundary, by
-numpy passes over blocks of cells, and keeps a level as arrays: vertex
-tuples are made only when asked for, and positions are read by simplex
-rank.  The apparent pairs are kept as a table that the pareto test reads.
+The matrices themselves are never materialized.  A level is kept as
+arrays, read by integer ids (a simplex rank, a grid id), and its cells are
+made only when asked for.  A clique complex builds each level of cliques,
+and finds the apparent pairs of each boundary, by numpy passes over blocks
+of cells; the apparent pairs are kept as a table that the pareto test reads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Optional
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .coeff import Field
 from .errors import UsageError
-from .matrix import MatrixOracle, SparseVector
+from .matrix import MatrixOracle, SparseVector, _apparent_pair
 
 
 # sort key of (position, coefficient) pairs
@@ -37,87 +37,89 @@ _BLOCK_BYTES = 2 ** 17
 
 class FiltrationOrder:
     """Linear order of the cells of one dimension: the cells, their birth
-    values, and the cell -> position map `pos`, a dict unless the complex
-    supplies its own mapping."""
+    values, and the cell -> position map `pos`."""
 
-    def __init__(self, dim: int, cells: Sequence, births: list[float], pos: Optional[Mapping] = None):
+    def __init__(self, dim: int, cells: Sequence, births: list[float], pos: Mapping):
         self.dim = dim
         self.cells = cells
         self.births = births
-        self.pos = {c: i for i, c in enumerate(cells)} if pos is None else pos
+        self.pos = pos
 
     def __len__(self) -> int:
         return len(self.births)
 
 
-class _CliqueCells(Sequence):
-    """The cells of a clique level, read from its (cells x vertices) int32
-    array of sorted vertex ids: a cell is a tuple of Python ints, made each
-    time it is asked for.  It equals a list of the same tuples."""
+class _Cells(Sequence):
+    """The cells of a level, read from its array in filtration order: a cell
+    is decoded by `decode` from its item's Python value (a row of vertex ids
+    to a tuple, a grid id to an (anchor, extent) pair) each time it is asked
+    for.  It equals a list of the same cells."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("array", "_decode")
 
-    def __init__(self, vertices: np.ndarray):
-        self.vertices = vertices
+    def __init__(self, array: np.ndarray, decode=tuple):
+        self.array = array
+        self._decode = decode
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.array)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [tuple(c) for c in self.vertices[i].tolist()]
-        return tuple(self.vertices[i].tolist())
+            return list(map(self._decode, self.array[i].tolist()))
+        return self._decode(self.array[i].tolist())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _CliqueCells):
-            return np.array_equal(self.vertices, other.vertices)
+        if isinstance(other, _Cells):
+            return np.array_equal(self.array, other.array)
         return list(self) == other if isinstance(other, list) else NotImplemented
 
 
-class _CliquePositions(Mapping):
-    """Positions of the cells of a clique level, by vertex tuple and, for
-    the complex, by simplex rank: a dense int32 table over every rank of the
-    dimension when the level holds at least a quarter of them, else the
-    level's ranks sorted and searched.  A rank names a cell only among the
-    cells of its level, so the cell at a tuple's position is checked."""
+class _Positions(Mapping):
+    """Positions of the cells of a level, by cell and, for the complex, by
+    int key (a simplex rank or a grid id): read from a dense int32 table,
+    the grid's shared `table` or the level's own when it holds a quarter of
+    the `n_keys` keys, else from its keys sorted and searched.  A key names
+    a cell only in its level, so the cell at a key's position is checked."""
 
-    def __init__(self, cells: _CliqueCells, ranks: np.ndarray, n_ranks: int, rank):
+    def __init__(self, cells: _Cells, key, keys: np.ndarray, n_keys: int = 0, table=None):
         self._cells = cells
-        self._rank = rank
-        if n_ranks <= 4 * len(ranks):
-            # a rank of no cell reads -1
-            self._table = np.full(n_ranks, -1, dtype=np.int32)
-            self._table[ranks.astype(np.intp)] = np.arange(len(ranks), dtype=np.int32)
-            # at[r] reads the position of rank r as a Python int, faster
+        self._key = key
+        if table is None and n_keys <= 4 * len(keys):
+            # a key of no cell reads -1
+            table = np.full(n_keys, -1, dtype=np.int32)
+        self._table = table
+        if table is not None:
+            table[keys.astype(np.intp)] = np.arange(len(keys), dtype=np.int32)
+            # at[k] reads the position of key k as a Python int, faster
             # than an array lookup on the few entries of a boundary line
-            self.at = memoryview(self._table)
+            self.at = memoryview(table)
         else:
-            self._table = None
-            self._sorted_pos = np.argsort(ranks).astype(np.int32)
-            self._sorted_ranks = ranks[self._sorted_pos]
-            # at[r] is r, searched for by sort_entries
-            self.at = range(n_ranks)
+            self._sorted_pos = np.argsort(keys).astype(np.int32)
+            self._sorted_keys = keys[self._sorted_pos]
+            # at[k] is k, searched for by sort_entries
+            self.at = range(n_keys)
 
-    def array(self, ranks) -> np.ndarray:
-        """The positions of cells of the level, given by rank, as an array."""
+    def array(self, keys) -> np.ndarray:
+        """The positions of cells of the level, given by key, as an array."""
         if self._table is not None:
-            return self._table[np.asarray(ranks, dtype=np.intp)]
-        return self._sorted_pos[np.searchsorted(self._sorted_ranks, ranks)]
+            return self._table[np.asarray(keys, dtype=np.intp)]
+        return self._sorted_pos[np.searchsorted(self._sorted_keys, keys)]
 
     def sort_entries(self, out: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        """(at[rank], sign) pairs of cells of the level, in place, made
+        """(at[key], sign) pairs of cells of the level, in place, made
         (position, sign) pairs sorted by position."""
         if self._table is None:
-            out[:] = zip(self.array([r for r, _ in out]).tolist(), [s for _, s in out])
+            out[:] = zip(self.array([k for k, _ in out]).tolist(), [s for _, s in out])
         out.sort(key=_first)
         return out
 
     def __getitem__(self, cell) -> int:
         try:
-            i = int(self.array([self._rank(cell)])[0])
-        except (TypeError, IndexError, OverflowError):  # not a tuple of admissible vertices
+            i = int(self.array([self._key(cell)])[0])
+        except (TypeError, ValueError, IndexError, OverflowError):  # not a cell of the complex's shape
             i = -1
-        if i < 0 or self._cells[i] != cell:
+        if not 0 <= i < len(self._cells) or self._cells[i] != cell:
             raise KeyError(cell)
         return i
 
@@ -133,23 +135,17 @@ class _Filtered:
 
     def order(self, dim: int) -> FiltrationOrder:
         if dim not in self._orders:
-            return FiltrationOrder(dim, [], [])
+            return FiltrationOrder(dim, [], [], {})
         return self._orders[dim]
 
     def n_cells(self, dim: int) -> int:
         return len(self.order(dim))
 
 
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def simplex_rank(simplex: Sequence[int]) -> int:
     """Combinatorial-number-system rank of a sorted vertex tuple: the
     canonical integer id of a simplex within its dimension."""
-    return sum(binomial(v, k + 1) for k, v in enumerate(simplex))
+    return sum(math.comb(v, k + 1) for k, v in enumerate(simplex))
 
 
 def _rank_dtype(binom: list[list[int]]):
@@ -180,7 +176,7 @@ class FilteredCliqueComplex(_Filtered):
     below: a (d+1)-clique grows from a d-clique by a vertex above its last
     one that lies within the threshold of all its vertices.  A level keeps
     its int32 vertex array in filtration order, its births, and positions
-    by simplex rank (see _CliquePositions), but no Python object per cell.
+    by simplex rank (see _Positions), but no Python object per cell.
     The ranks of cofaces and faces are summed from a binomial table, so no
     vertex tuple is built per row entry.  The apparent pairs of a row
     dimension are found in one batch pass, the first time they are asked
@@ -284,8 +280,8 @@ class FilteredCliqueComplex(_Filtered):
         starts = np.flatnonzero(first)
         counts = np.diff(np.append(starts, len(births)))
         born = list(chain.from_iterable(map(repeat, births[starts].tolist(), counts.tolist())))
-        seq = _CliqueCells(cells)
-        pos = _CliquePositions(seq, ranks, binomial(self.n_points, dim + 1), self._rank)
+        seq = _Cells(cells)
+        pos = _Positions(seq, self._rank, ranks, math.comb(self.n_points, dim + 1))
         self._orders[dim] = FiltrationOrder(dim, seq, born, pos)
 
     def _col_entries(self, n: int, j: int, minus: int) -> list[tuple[int, int]]:
@@ -293,7 +289,7 @@ class FilteredCliqueComplex(_Filtered):
         by `minus`) pairs of the faces of cell j, sorted.  The face omitting
         vertex k keeps C(v, m+1) for the vertices m before it and moves the
         vertices after it down to C(v, m)."""
-        cell = self._orders[n].cells.vertices[j].tolist()
+        cell = self._orders[n].cells.array[j].tolist()
         pos = self._orders[n - 1].pos
         at, b = pos.at, self._binom
         below, above = 0, sum([b[m][v] for m, v in enumerate(cell)])
@@ -320,20 +316,20 @@ class FilteredCliqueComplex(_Filtered):
         `minus`) pairs of the cofaces of cell i, sorted.  The coface that
         puts v at slot k has rank base[k] + C(v, k+1), where base[k] ranks
         the cell's vertices, those from slot k on moved up one."""
-        cell = self._orders[n - 1].cells.vertices[i].tolist()
+        cell = self._orders[n - 1].cells.array[i].tolist()
         pos = self._orders[n].pos
         at, b = pos.at, self._binom
         base = [sum(b[m + 1 + (m >= k)][v] for m, v in enumerate(cell)) for k in range(len(cell) + 1)]
         return pos.sort_entries([(at[base[k] + b[k + 1][v]], c)
                                  for k, c, run in self._runs(cell, minus) for v in run])
 
-    def _apparent_pair(self, dim: int, i: int, minus: int) -> Optional[tuple[int, int]]:
-        """(column, 1 or `minus`) of the leading entry of row i of the
-        boundary from dimension dim + 1 to dim when the two form an apparent
-        pair, else None."""
-        cols, odd = self._apparent_pairs(dim)
+    def _apparent_pair(self, d: BoundaryOracle, i: int) -> Optional[tuple[int, int]]:
+        """(column, coefficient) of the leading entry of row i of boundary d
+        when the two form an apparent pair, else None: a lookup in the
+        apparent-pair table of d's row dimension."""
+        cols, odd = self._apparent_pairs(d.n - 1)
         j = int(cols[i])
-        return None if j < 0 else (j, minus if odd[i] else 1)
+        return None if j < 0 else (j, d._minus if odd[i] else 1)
 
     def _apparent_pairs(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
         """The apparent pairs of the rows of dimension dim, as two arrays
@@ -353,7 +349,7 @@ class FilteredCliqueComplex(_Filtered):
             return self._pairs[dim]
         if not 0 <= dim < self.max_dim:
             raise UsageError(f"no boundary rows in dimension {dim}")
-        cells = self._orders[dim].cells.vertices
+        cells = self._orders[dim].cells.array
         births = np.array(self._orders[dim].births)
         cols = np.full(len(births), -1, dtype=np.int32)
         odd = np.zeros(len(births), dtype=bool)
@@ -399,7 +395,10 @@ class FilteredCliqueComplex(_Filtered):
 
 class FilteredCubicalComplex(_Filtered):
     """Full cubical grid on a 2d or 3d pixel array; every cell is born at the
-    maximum value of the pixels it spans."""
+    maximum value of the pixels it spans.  A cell (anchor, extent) is read
+    by its grid id: its index in the doubled grid, of 2s - 1 points per
+    axis of s pixels, at twice its anchor plus 1 on each axis of its extent.
+    One int32 table over the grid holds every cell's position."""
 
     kind = "cubical"
 
@@ -407,72 +406,84 @@ class FilteredCubicalComplex(_Filtered):
         arr = np.asarray(pixels, dtype=float)
         if arr.ndim not in (2, 3):
             raise UsageError("pixel array must be 2D or 3D")
+        if arr.size == 0:
+            raise UsageError("pixel array must not be empty")
         if not np.all(np.isfinite(arr)):
             raise UsageError("pixel values must be finite")
-        self.pixels = arr
-        self.shape = arr.shape
-        self.ndim = arr.ndim
         self.max_dim = arr.ndim
-        self.threshold = float(arr.max()) if arr.size else 0.0
+        self._grid = grid = tuple(2 * s - 1 for s in arr.shape)
+        # per axis, the step between neighbouring grid ids
+        self._strides = [math.prod(grid[ax + 1:]) for ax in range(arr.ndim)]
         self._orders: dict[int, FiltrationOrder] = {}
-        self._build()
+        self._build(arr)
 
-    def _cell_birth(self, anchor: tuple[int, ...], extent: tuple[int, ...]) -> float:
-        corners = [anchor]
-        for ax in extent:
-            corners = corners + [tuple(c[i] + (1 if i == ax else 0) for i in range(self.ndim))
-                                 for c in corners]
-        return max(float(self.pixels[c]) for c in corners)
+    def _build(self, pixels: np.ndarray) -> None:
+        """Births over the grid by max pooling, one axis at a time, where a
+        tie keeps the lower corner, as a scan of the corners does, so that
+        a zero keeps its sign; each level sorted by (birth, anchor, extent)."""
+        born = pixels
+        for ax in range(pixels.ndim):
+            # pixels k, k, k + 1, k + 1, ...: grid point p pools entries p, p + 1
+            r = np.moveaxis(np.repeat(born, 2, axis=ax), ax, 0)
+            born = np.moveaxis(np.where(r[1:] > r[:-1], r[1:], r[:-1]), 0, ax)
+        born = born.ravel()
+        c = np.indices(self._grid).reshape(pixels.ndim, -1)[::-1]
+        odd = (c & 1).sum(axis=0)
+        # np.lexsort sorts by its last key first, so the grid ids run level
+        # by level; an extent that holds an earlier axis comes first
+        order = np.lexsort([*-(c & 1), *(c >> 1), born, odd])
+        table = np.empty(len(order), dtype=np.int32)
+        ends = np.cumsum(np.bincount(odd, minlength=pixels.ndim + 1))
+        for dim, ids in enumerate(np.split(order, ends[:-1])):
+            seq = _Cells(ids, self._cell)
+            pos = _Positions(seq, self._grid_id, ids, table=table)
+            self._orders[dim] = FiltrationOrder(dim, seq, born[ids].tolist(), pos)
 
-    def _build(self) -> None:
-        axes = list(range(self.ndim))
-        for dim in range(self.ndim + 1):
-            cells = []
-            for extent in combinations(axes, dim):
-                bounds = [self.shape[ax] - (1 if ax in extent else 0) for ax in axes]
-                for anchor in np.ndindex(*bounds):
-                    anchor = tuple(int(a) for a in anchor)
-                    b = self._cell_birth(anchor, extent)
-                    cells.append((b, (anchor, extent)))
-            cells.sort(key=lambda t: (t[0], t[1][0], t[1][1]))
-            self._orders[dim] = FiltrationOrder(dim, [c for _, c in cells], [b for b, _ in cells])
+    def _cell(self, g: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The (anchor, extent) pair of grid id g."""
+        c = [int(x) for x in np.unravel_index(g, self._grid)]
+        return tuple(x >> 1 for x in c), tuple(ax for ax, x in enumerate(c) if x & 1)
 
-    def faces(self, cell) -> list:
-        """(face, sign): the j-th extent axis contributes (-1)^j times the
-        upper face minus the lower face."""
+    def _grid_id(self, cell) -> int:
+        """The grid id of an (anchor, extent) pair."""
         anchor, extent = cell
-        out = []
-        for j, ax in enumerate(extent):
-            new_extent = tuple(a for a in extent if a != ax)
-            sign = -1 if j % 2 else 1
-            upper = tuple(anchor[i] + (1 if i == ax else 0) for i in range(self.ndim))
-            out.append(((upper, new_extent), sign))
-            out.append(((anchor, new_extent), -sign))
-        return out
-
-    def cofaces(self, cell, dim: int) -> list:
-        """(coface, sign): along each new axis the cell is the lower face of
-        the coface at its anchor and the upper face of the one a step below."""
-        anchor, extent = cell
-        pos_up = self.order(dim + 1).pos
-        out = []
-        for ax in (ax for ax in range(self.ndim) if ax not in extent):
-            new_extent = tuple(sorted(extent + (ax,)))
-            sign = -1 if new_extent.index(ax) % 2 else 1
-            lowered = tuple(a - (i == ax) for i, a in enumerate(anchor))
-            out += [(c, s) for c, s in (((anchor, new_extent), -sign), ((lowered, new_extent), sign))
-                    if c in pos_up]
-        return out
+        return sum((2 * a + (ax in extent)) * s for ax, (a, s) in enumerate(zip(anchor, self._strides)))
 
     def _col_entries(self, n: int, j: int, minus: int) -> list[tuple[int, int]]:
         """(position of the face, sign mapped by `minus`) pairs of cell j of
-        dimension n, sorted."""
-        return _signed(self.faces(self._orders[n].cells[j]), self._orders[n - 1].pos, minus)
+        dimension n, sorted: the j-th extent axis contributes (-1)^j times
+        the upper face, a stride up, minus the lower face, a stride down."""
+        g = rest = int(self._orders[n].cells.array[j])
+        pos = self._orders[n - 1].pos
+        out, up, down = [], 1, minus
+        for s in self._strides:
+            c, rest = divmod(rest, s)
+            if c & 1:
+                out += ((pos.at[g + s], up), (pos.at[g - s], down))
+                up, down = down, up
+        return pos.sort_entries(out)
 
     def _row_entries(self, n: int, i: int, minus: int) -> list[tuple[int, int]]:
         """(position of the coface, sign mapped by `minus`) pairs of cell i of
-        dimension n - 1, sorted."""
-        return _signed(self.cofaces(self._orders[n - 1].cells[i], n - 1), self._orders[n].pos, minus)
+        dimension n - 1, sorted: along an even axis the cell is the lower
+        face of the coface a stride up, and the upper face of the one a
+        stride down, where the grid has them."""
+        g = rest = int(self._orders[n - 1].cells.array[i])
+        pos = self._orders[n].pos
+        out, up, down = [], 1, minus
+        for s, size in zip(self._strides, self._grid):
+            c, rest = divmod(rest, s)
+            if c & 1:
+                up, down = down, up
+                continue
+            if c < size - 1:
+                out.append((pos.at[g + s], down))
+            if c:
+                out.append((pos.at[g - s], up))
+        return pos.sort_entries(out)
+
+    # the generic row-lead / column-trail test, cheap on integer steps
+    _apparent_pair = staticmethod(_apparent_pair)
 
 
 class BoundaryOracle(MatrixOracle):
@@ -489,11 +500,8 @@ class BoundaryOracle(MatrixOracle):
         self.complex = complex_
         self.n = n
         self.field = field
-        self.rows_order = complex_.order(n - 1)
-        self.cols_order = complex_.order(n)
-        self.nrows = len(self.rows_order)
-        self.ncols = len(self.cols_order)
-        self.pareto_enabled = complex_.kind == "clique"
+        self.nrows = complex_.n_cells(n - 1)
+        self.ncols = complex_.n_cells(n)
         self._minus = field.normalize(-1)
 
     def _vector(self, entries: list[tuple[int, int]]) -> SparseVector:
@@ -508,17 +516,10 @@ class BoundaryOracle(MatrixOracle):
         return self._vector(self.complex._row_entries(self.n, i, self._minus))
 
     def pareto_leading(self, i: int) -> Optional[tuple[int, int]]:
-        """A lookup in the complex's apparent-pair table of this row
-        dimension, which the first call builds; a miss builds no row."""
-        if not self.pareto_enabled:
-            return None
+        """The complex's test: a lookup in the clique table of this row
+        dimension, which the first call builds, or the generic cubical one."""
         self._check_row(i)
-        return self.complex._apparent_pair(self.n - 1, i, self._minus)
-
-
-def _signed(cells, pos: dict, minus: int) -> list[tuple[int, int]]:
-    """(pos[cell], 1 or `minus`) pairs of distinct signed cells, sorted."""
-    return sorted([(pos[c], 1 if s > 0 else minus) for c, s in cells], key=_first)
+        return self.complex._apparent_pair(self, i)
 
 
 def boundary_oracle(complex_, n: int, field: Field) -> BoundaryOracle:

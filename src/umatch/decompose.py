@@ -427,6 +427,6 @@ def clearing_filter(prior: MatchingArray) -> frozenset[int]:
 def pareto_pairs(d: MatrixOracle) -> frozenset[tuple[int, int]]:
     """All (i, j) where D[i, j] is the leading entry of row i and the lowest
     entry of column j; every such pair lies in the matching support.  The
-    probe runs on every row, whatever d.pareto_enabled says."""
+    generic probe runs on every row, whatever test d.pareto_leading makes."""
     hits = ((i, _apparent_pair(d, i)) for i in range(d.nrows))
     return frozenset((i, hit[0]) for i, hit in hits if hit is not None)

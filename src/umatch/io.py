@@ -145,6 +145,8 @@ def read_image_text(lines: Iterable[str]) -> np.ndarray:
         dims = tuple(int(x) for x in parts[1:])
     except ValueError:
         raise UsageError(f"line {ln}: non-integer dimension")
+    if min(dims) < 1:
+        raise UsageError(f"line {ln}: dimensions must be positive")
     vals: list[float] = []
     for ln, s in records:
         try:

@@ -164,8 +164,6 @@ class MatrixOracle:
     field: Field
     nrows: int
     ncols: int
-    #: whether the Pareto-pair short circuit may probe this oracle
-    pareto_enabled: bool = True
 
     def row(self, i: int) -> SparseVector:
         raise NotImplementedError
@@ -182,11 +180,10 @@ class MatrixOracle:
             raise UsageError(f"column index {j} out of range [0, {self.ncols})")
 
     def pareto_leading(self, i: int) -> Optional[tuple[int, int]]:
-        """Row i's apparent pair (see _apparent_pair), or None when this
-        oracle declines the probe.  Subclasses may override with a cheaper
-        test, or return None to opt out of the short circuit.
+        """Row i's apparent pair (see _apparent_pair).  Subclasses may
+        override with a cheaper test.
         """
-        return _apparent_pair(self, i) if self.pareto_enabled else None
+        return _apparent_pair(self, i)
 
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.ncols for _ in range(self.nrows)]
@@ -342,7 +339,6 @@ class _AntitransposeView(MatrixOracle):
         self.field = base.field
         self.nrows = base.ncols
         self.ncols = base.nrows
-        self.pareto_enabled = base.pareto_enabled
 
     def row(self, i: int) -> SparseVector:
         self._check_row(i)
@@ -391,7 +387,6 @@ class _SubmatrixView(MatrixOracle):
         self.cols = cols
         self.nrows = len(rows)
         self.ncols = len(cols)
-        self.pareto_enabled = base.pareto_enabled
         self._row_pos = {r: i for i, r in enumerate(rows)}
         self._col_pos = {c: j for j, c in enumerate(cols)}
 

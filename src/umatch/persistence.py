@@ -334,6 +334,10 @@ class PersistenceEngine:
         """Earliest filtration step at which x becomes a boundary, with an
         explicit witness; the minimal-support solve makes the witness earliest."""
         self._require_cycle(x)
+        return self._bounding_chain(x)
+
+    def _bounding_chain(self, x: Chain) -> Union[BoundingResult, Sentinel]:
+        """bounding_chain of a chain known to be a cycle."""
         n = x.dim
         if not x.vector:
             return BoundingResult(-1, -math.inf, Chain(n + 1, SparseVector.zero(self.field)))
@@ -357,15 +361,14 @@ class PersistenceEngine:
         self._require_cycle(x)
         self._require_cycle(f)
         diff = axpy(self.field.neg(1), f.vector, x.vector)
-        res = self.bounding_chain(Chain(x.dim, diff))
+        res = self._bounding_chain(Chain(x.dim, diff))
         if res is NEVER_BOUNDS:
             return NEVER
         return max(self.birth_value_of(x), self.birth_value_of(f), res.value)
 
     def lifespan(self, x: Chain) -> tuple[float, float]:
         """Half-open value interval [birth, bounding); right endpoint inf
-        when x never bounds."""
-        self._require_cycle(x)
+        when x never bounds; bounding_chain checks that x is a cycle."""
         res = self.bounding_chain(x)
         right = math.inf if res is NEVER_BOUNDS else res.value
         return (self.birth_value_of(x), right)

@@ -296,7 +296,7 @@ def test_barcode_verify_rejects_a_wrong_representative():
         assert not verified_with(old.birth_pos, mixed, n)
 
 
-def test_barcode_image_input(tmp_path):
+def test_barcode_image_input(tmp_path, capsys):
     img = tmp_path / "img.txt"
     img.write_text("dims 3 3\n1 2 3\n4 5 6\n7 8 9\n")
     out = tmp_path / "bars.json"
@@ -306,6 +306,10 @@ def test_barcode_image_input(tmp_path):
     h0 = [b for b in data["bars"] if b["dimension"] == 0]
     assert len(h0) == 1
     assert h0[0]["death"] is None
+    # an image with an empty axis is a usage error
+    img.write_text("dims 0 3\n")
+    assert main(["barcode", str(img), "--input-type", "image"]) == 2
+    assert "line 1: dimensions must be positive" in capsys.readouterr().err
 
 
 def test_generators_command_strategies_and_determinism(tmp_path):
@@ -505,8 +509,8 @@ def test_bench_cubical_dataset(tmp_path):
     assert main(["bench", "grf2d", "--side", "5", "--output", str(out)]) == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 4
-    # pareto short-circuiting is disabled for cubical boundaries
-    assert all(r["pareto_hits"] == "0" for r in rows)
+    # a cubical boundary answers the apparent-pair probe
+    assert [int(r["pareto_hits"]) > 0 for r in rows if r["variant"] == "D"] == [True]
 
 
 _EDGE_CHAIN = json.dumps({"dim": 1, "entries": [[[0, 1], 1]]})

@@ -16,7 +16,7 @@ from umatch.complexes import (
     simplex_rank,
     torus_metric,
 )
-from umatch.datasets import circle_complex, er_complex
+from umatch.datasets import circle_complex, er_complex, grf3d_complex
 from umatch.decompose import pareto_pairs
 
 from conftest import clique_inputs, image_inputs
@@ -72,6 +72,12 @@ def test_rejects_bad_dissimilarity():
         FilteredCliqueComplex(np.array([[0.0, np.inf], [np.inf, 0.0]]), 1, 2.0)
     with pytest.raises(UsageError):
         FilteredCliqueComplex(np.zeros((2, 3)), 1, 2.0)
+
+
+def test_rejects_bad_pixels():
+    for pixels in (np.zeros(4), np.zeros((0, 3)), np.zeros((2, 0, 2)), np.array([[0.0, np.nan]])):
+        with pytest.raises(UsageError):
+            FilteredCubicalComplex(pixels)
 
 
 def test_triangle_boundaries():
@@ -184,8 +190,9 @@ def test_leading_entry_shortcut_triangle():
 
 def test_shortcut_agrees_with_pareto_pairs():
     f = GF(2)
-    for seed in range(4):
-        cx = er_complex(10, seed=seed)
+    # a cubical boundary takes the generic probe, so it finds the same pairs
+    image = FilteredCubicalComplex(np.arange(6.0).reshape(2, 3))
+    for cx in [er_complex(10, seed=seed) for seed in range(4)] + [image]:
         for n in (1, 2):
             d = boundary_oracle(cx, n, f)
             pareto = pareto_pairs(d)
@@ -199,13 +206,6 @@ def test_shortcut_agrees_with_pareto_pairs():
             for (i, j) in pareto:
                 hit = d.pareto_leading(i)
                 assert hit is not None and hit[0] == j
-
-
-def test_cubical_pareto_shortcut_disabled():
-    f = GF(2)
-    img = FilteredCubicalComplex(np.arange(6.0).reshape(2, 3))
-    d = boundary_oracle(img, 1, f)
-    assert all(d.pareto_leading(i) is None for i in range(d.nrows))
 
 
 def test_vertex_births_bound_edge_births():
@@ -459,6 +459,23 @@ def test_clique_complex_memory():
     assert retained <= 1.5 * 2 ** 20
     # the numpy passes run in blocks of a fixed byte size
     assert peak <= 1.7 * 2 ** 20
+
+
+def test_cubical_complex_memory():
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cx = grf3d_complex(12)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cx.n_cells(0) == 12 ** 3
+    # a level keeps its grid ids and births, and one int32 table spans the grid
+    assert retained <= 2 * 2 ** 20
 
 
 @settings(max_examples=80, deadline=None)

@@ -82,6 +82,8 @@ def test_image_text():
     (read_image_text, ["dims 1 2", "# c", "1 z"], "line 3: non-numeric pixel"),
     (read_image_text, ["# c"], "empty image file"),
     (read_image_text, ["dims 2 2", "# c", "1 2", "", "3"], "expected 4 pixels, got 3"),
+    (read_image_text, ["# c", "dims 0 3"], "line 2: dimensions must be positive"),
+    (read_image_text, ["dims 2 -1 3"], "line 1: dimensions must be positive"),
 ])
 def test_text_readers_skip_comments_and_blanks_in_line_numbers(reader, lines, message):
     with pytest.raises(UsageError) as exc:

@@ -502,6 +502,26 @@ def test_time_of_homology_never():
     assert engine.time_of_homology(x, zero) is NEVER
 
 
+def test_one_cycle_check_per_query(monkeypatch):
+    engine = PersistenceEngine(circle_complex(10), GF(2))
+    [bar] = engine.bars(1)
+    x = engine.cycle_representative(bar)
+    checked = []
+    check = engine._require_cycle
+    monkeypatch.setattr(engine, "_require_cycle", lambda c: checked.append(c) or check(c))
+    engine.lifespan(x)
+    assert len(checked) == 1
+    checked.clear()
+    assert engine.time_of_homology(x, x) == engine.birth_value_of(x)
+    # x and f are checked, not their difference
+    assert checked == [x, x]
+    # a chain that is not a cycle is still refused, on either side
+    edge = Chain(1, SparseVector.unit(engine.field, 0))
+    for args in ((edge,), (x, edge), (edge, x)):
+        with pytest.raises(UsageError, match="not a cycle"):
+            (engine.lifespan if len(args) == 1 else engine.time_of_homology)(*args)
+
+
 def test_lifespan_triangle_boundary_is_empty_interval():
     engine = PersistenceEngine(equilateral3(), GF(2))
     f = engine.field
