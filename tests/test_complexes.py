@@ -17,7 +17,7 @@ from umatch.complexes import (
     torus_metric,
 )
 from umatch.datasets import circle_complex, er_complex, grf3d_complex
-from umatch.decompose import pareto_pairs
+from umatch.decompose import DecomposeOptions, decompose_compressed, pareto_pairs
 
 from conftest import clique_inputs, image_inputs
 from oracles import (
@@ -206,6 +206,20 @@ def test_shortcut_agrees_with_pareto_pairs():
             for (i, j) in pareto:
                 hit = d.pareto_leading(i)
                 assert hit is not None and hit[0] == j
+
+
+def test_cubical_pareto_shortcut_disabled():
+    # the cubical probe hits, and declining every row changes only that count
+    f = GF(7)
+    img = FilteredCubicalComplex(np.arange(6.0).reshape(2, 3))
+    for n in (1, 2):
+        d = boundary_oracle(img, n, f)
+        on = decompose_compressed(d, DecomposeOptions(counters=True))
+        d.pareto_leading = lambda i: None
+        off = decompose_compressed(d, DecomposeOptions(counters=True))
+        assert on.stats.pareto_hits > 0 and off.stats.pareto_hits == 0
+        assert on.matching == off.matching
+        assert on.rbar.to_dense() == off.rbar.to_dense()
 
 
 def test_vertex_births_bound_edge_births():
