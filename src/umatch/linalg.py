@@ -18,7 +18,7 @@ from .matrix import (
     matvec,
     vecmat,
 )
-from .retrieve import PivotBlockProduct, RetrievalTarget, _Retriever, retrieve, triangular_solve
+from .retrieve import RetrievalTarget, _Retriever, retrieve, triangular_solve
 
 
 class Sentinel:
@@ -213,7 +213,7 @@ def to_lu(u: CompressedUmatch) -> tuple[StoredCsMatrix, StoredCsMatrix, StoredCs
     solves, with no dense k x k copy."""
     f = u.field
     k = u.rank
-    a = PivotBlockProduct(u)
+    r = _Retriever(u)
     l, pm, nm, um = [], [], [], []
     for p in range(k):
         # column p of R_rho_rho, the inverse of the stored pivot block
@@ -222,8 +222,7 @@ def to_lu(u: CompressedUmatch) -> tuple[StoredCsMatrix, StoredCsMatrix, StoredCs
         pm.append((k - 1 - u.pi[p], p, u.m_diag[p]))
         nm.extend((k - 1 - q, p, v) for q, v in u.d_col_rho(u.kappa[p]).entries)
         # column p of C_kappa_kappa solves A x = col_p(M_rho_kappa)
-        x = triangular_solve(a, SparseVector.unit(f, u.pi[p], u.m_diag[p]),
-                             side="left", row_perm=u.pi)
+        x = r.solve_a_left(SparseVector.unit(f, u.pi[p], u.m_diag[p]))
         um.extend((i, p, v) for i, v in x.entries)
     return tuple(StoredCsMatrix.from_triplets(f, k, k, t) for t in (l, pm, nm, um))
 

@@ -15,6 +15,7 @@ evicted).  Every retrieval and solve on one decomposition shares the memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .decompose import CompressedUmatch, OpCounter
 from .errors import InternalInconsistencyError, UsageError
@@ -92,22 +93,34 @@ def _product(line, v: SparseVector, counter: OpCounter | None) -> SparseVector:
     return out
 
 
-def _substitute(t: MatrixOracle, resid: dict[int, int], side: str, row_perm):
+def _substitute(t: MatrixOracle, resid: dict[int, int], side: str, row_perm, pi_inv):
     """Back-substitution steps for t @ x = resid (left) or y @ t = resid
     (right), updating resid in place.  Yields (index, coefficient, entries
     touched) for every coefficient it determines, so callers may stop early.
-    """
+    The steps keep the order of a walk over the permuted triangle, but a heap
+    of the residual's own steps picks them, each key queued once: a solve
+    costs the entries it touches, not the rank.  pi_inv inverts row_perm
+    (read on the left side).  A key outside 0..k-1, or one written at a step
+    already passed, is never pushed: it stays in resid."""
     f = t.field
     k = t.ncols
     if side == "left":
-        # column p removes the residual at its pivot row, last column first
-        line, steps = t.col, zip(reversed(row_perm), range(k - 1, -1, -1))
+        # column p removes the residual at row row_perm[p], last column
+        # first; key q falls at step p = pi_inv[q], held as -p in the heap
+        line, step_of = t.col, lambda q: -pi_inv[q]
+        key_idx = lambda h: (row_perm[-h], -h)
     elif side == "right":
         # row row_perm[p] removes the residual at column p, first column first
-        line, steps = t.row, zip(range(k), row_perm)
+        line, step_of = t.row, lambda q: q
+        key_idx = lambda h: (h, row_perm[h])
     else:
         raise UsageError(f"side must be 'left' or 'right', got {side!r}")
-    for key, idx in steps:
+    heap = [step_of(q) for q in resid if 0 <= q < k]
+    heapify(heap)
+    queued = set(resid)
+    while heap:
+        h = heappop(heap)
+        key, idx = key_idx(h)
         rv = resid.get(key)
         if not rv:
             continue
@@ -119,6 +132,12 @@ def _substitute(t: MatrixOracle, resid: dict[int, int], side: str, row_perm):
         yield idx, xv, _accumulate(resid, -xv, vec.entries, f.p)
         if not resid:
             return
+        for q, _ in vec.entries:
+            if q not in queued:
+                queued.add(q)
+                g = step_of(q)
+                if g > h:
+                    heappush(heap, g)
 
 
 def triangular_solve(t: MatrixOracle, b: SparseVector, side: str = "left",
@@ -127,21 +146,34 @@ def triangular_solve(t: MatrixOracle, b: SparseVector, side: str = "left",
 
     t must be invertible and upper triangular after permuting rows by
     row_perm (row_perm[p] holds column p's pivot; identity when None).
-    A missing pivot raises InternalInconsistencyError.
+    A missing pivot raises InternalInconsistencyError; on the left side, a
+    row_perm that is not a permutation of range(t.ncols) raises UsageError.
     """
+    k = t.ncols
+    pi_inv = range(k)
+    if row_perm is None:
+        row_perm = pi_inv
+    elif side == "left":
+        pi_inv = {q: p for p, q in enumerate(row_perm)}
+        if len(row_perm) != k or sorted(pi_inv) != list(range(k)):
+            raise UsageError("row_perm must be a permutation of range(t.ncols)")
+    return _triangular_solve(t, b, side, row_perm, pi_inv, counter)
+
+
+def _triangular_solve(t: MatrixOracle, b: SparseVector, side: str, row_perm, pi_inv,
+                      counter: OpCounter | None) -> SparseVector:
+    """triangular_solve with the inverse pi_inv of row_perm supplied."""
     f = t.field
     if b.field != f:
         raise UsageError("right-hand side lies in a different field")
     if t.nrows != t.ncols:
         raise UsageError("triangular solve requires a square matrix")
-    if row_perm is None:
-        row_perm = range(t.ncols)
     if counter is not None:
         counter.solves += 1
     resid = b.to_dict()
     out: dict[int, int] = {}
     touched = 0
-    for idx, xv, n in _substitute(t, resid, side, row_perm):
+    for idx, xv, n in _substitute(t, resid, side, row_perm, pi_inv):
         out[idx] = xv
         touched += n
     if resid:
@@ -176,13 +208,11 @@ class _Retriever:
 
     def solve_a_left(self, b: SparseVector) -> SparseVector:
         """x with A x = b (b in pivot-row positions, x in pivot-col positions)."""
-        return triangular_solve(self.a, b, side="left", row_perm=self.u.pi,
-                                counter=self.counter)
+        return _triangular_solve(self.a, b, "left", self.u.pi, self.u.pi_inv, self.counter)
 
     def solve_a_right(self, c: SparseVector) -> SparseVector:
         """y with y A = c (c in pivot-col positions, y in pivot-row positions)."""
-        return triangular_solve(self.a, c, side="right", row_perm=self.u.pi,
-                                counter=self.counter)
+        return _triangular_solve(self.a, c, "right", self.u.pi, self.u.pi_inv, self.counter)
 
     # -- rows ----------------------------------------------------------
 

@@ -54,7 +54,7 @@ def early_stop_solve(u: CompressedUmatch, pivot_col: int) -> SparseVector:
     resid = {u.pi[p]: u.m_diag[p]}
     solution: dict[int, int] = {}
     tail: dict[int, int] = {}
-    for q, xv, _ in _substitute(PivotBlockProduct(u), resid, "left", u.pi):
+    for q, xv, _ in _substitute(PivotBlockProduct(u), resid, "left", u.pi, u.pi_inv):
         solution[q] = xv
         _accumulate(tail, xv, [(i, w) for i, w in u.d.col(u.kappa[q]).entries if i > r], f.p)
         if not tail:

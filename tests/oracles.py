@@ -414,3 +414,32 @@ def pivot_block_reference(d, clear_rows=frozenset()):
                 ops[jj] = (ops.get(jj, 0) - lam * w) % p
             ops = {jj: w for jj, w in ops.items() if w}
     return sorted(pairs), rbar
+
+
+def substitute_walk(t, resid, side: str, row_perm):
+    """The ordered back-substitution walk: every step of the permuted
+    triangle in turn, last column first on the left (t @ x = resid) and
+    first column first on the right (y @ t = resid), until resid, updated
+    in place, is zero.  Yields (index, coefficient, entries touched) per
+    step with a nonzero residual at its key, as the package's heap-driven
+    solve must, step for step."""
+    p = t.field.p
+    k = t.ncols
+    if side == "left":
+        steps = ((row_perm[j], j, t.col) for j in range(k - 1, -1, -1))
+    else:
+        steps = ((j, row_perm[j], t.row) for j in range(k))
+    for key, idx, line in steps:
+        if not resid:
+            return
+        if not resid.get(key, 0) % p:
+            continue
+        vec = dict(line(idx).entries)
+        xv = resid[key] * mod_inv(vec[key], p) % p
+        for i, v in vec.items():
+            s = (resid.get(i, 0) - xv * v) % p
+            if s:
+                resid[i] = s
+            else:
+                resid.pop(i, None)
+        yield idx, xv, len(vec)

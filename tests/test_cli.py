@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import umatch.cli
+import umatch.persistence
 from umatch import (
     GF,
     PersistenceEngine,
@@ -294,6 +295,27 @@ def test_barcode_verify_rejects_a_wrong_representative():
         mixed = Chain(n, axpy(1, real(old).vector, real(young).vector))
         assert not verified_with(young.birth_pos, mixed, n)
         assert not verified_with(old.birth_pos, mixed, n)
+
+
+def test_barcode_verify_checks_each_cycle_once(tmp_path, monkeypatch):
+    img = tmp_path / "img.txt"
+    img.write_text("dims 6 6\n1 1 1 2 2 2\n1 9 1 2 8 2\n1 1 1 2 2 2\n"
+                   "3 3 3 4 4 4\n3 7 3 4 6 4\n3 3 3 4 4 4\n")
+    calls = []
+    for module in (umatch.cli, umatch.persistence):
+        if hasattr(module, "matvec"):
+            real = module.matvec
+            monkeypatch.setattr(module, "matvec",
+                                lambda d, v, real=real: calls.append(v) or real(d, v))
+    out = tmp_path / "bars.json"
+    assert main(["barcode", str(img), "--input-type", "image", "--verify",
+                 "--output", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["verified"] is True
+    # a cycle check is one matvec by a boundary; dimension 0 needs none
+    bars = [b for b in data["bars"] if b["dimension"] == 1]
+    assert len(bars) == 4
+    assert len(calls) == len(bars)
 
 
 def test_barcode_image_input(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -21,13 +22,15 @@ from umatch import (
     triangular_solve,
 )
 from umatch.complexes import FilteredCliqueComplex, boundary_oracle
+from umatch.datasets import er_complex
 from umatch.decompose import CompressedUmatch
 from umatch.errors import InternalInconsistencyError
 from umatch.linalg import _invert_unitriangular
-from umatch.retrieve import PivotBlockProduct, retrieve_with_stats
+from umatch.matrix import MatrixOracle
+from umatch.retrieve import PivotBlockProduct, _substitute, retrieve_with_stats
 
 from conftest import clique_inputs, random_stored
-from oracles import identity, invert_mod, mat_mul
+from oracles import identity, invert_mod, mat_mul, mat_vec, substitute_walk, vec_mat
 
 
 def test_triangular_solve_by_hand():
@@ -68,6 +71,165 @@ def test_triangular_solve_detects_zero_pivot():
     t = StoredCsMatrix.from_dense(f, [[0, 1], [0, 1]])
     with pytest.raises(InternalInconsistencyError):
         triangular_solve(t, SparseVector.from_pairs(f, [(0, 1)]), side="left")
+
+
+@st.composite
+def permuted_triangles(draw):
+    """(t, row_perm, side, b): t upper triangular with a nonzero diagonal
+    once its rows are listed by row_perm, and b either random or the image
+    of a solution supported on a run of steps, so that the residual of the
+    solve reaches zero before the last step."""
+    p = draw(st.sampled_from([2, 7]))
+    k = draw(st.integers(1, 8))
+    row_perm = draw(st.permutations(range(k)))
+    upper = [[draw(st.integers(1, p - 1)) if i == j else
+              draw(st.integers(0, p - 1)) if j > i else 0 for j in range(k)] for i in range(k)]
+    dense = [None] * k
+    for i in range(k):
+        dense[row_perm[i]] = upper[i]
+    side = draw(st.sampled_from(["left", "right"]))
+    lo = draw(st.integers(0, k - 1))
+    hi = draw(st.integers(lo, k - 1))
+    x = [draw(st.integers(0, p - 1)) if lo <= i <= hi else 0 for i in range(k)]
+    if draw(st.booleans()):
+        b = x
+    elif side == "left":
+        b = mat_vec(dense, x, p)
+    else:
+        b = vec_mat([x[row_perm.index(r)] for r in range(k)], dense, p)
+    return StoredCsMatrix.from_dense(GF(p), dense), row_perm, side, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(permuted_triangles())
+def test_substitute_keeps_the_order_of_the_walk(case):
+    t, row_perm, side, b = case
+    pi_inv = sorted(range(t.ncols), key=row_perm.__getitem__)
+    resid = {i: v for i, v in enumerate(b) if v}
+    want_resid = dict(resid)
+    want = list(substitute_walk(t, want_resid, side, row_perm))
+    assert list(_substitute(t, resid, side, row_perm, pi_inv)) == want
+    assert resid == want_resid == {}
+    b = SparseVector.from_pairs(t.field, enumerate(b))
+    x = triangular_solve(t, b, side=side, row_perm=row_perm)
+    assert x.entries == tuple(sorted((i, v) for i, v, _ in want))
+
+
+@pytest.mark.parametrize("p", [2, 7])
+def test_early_stop_keeps_the_walk(monkeypatch, p):
+    cases = []
+    for seed in range(3):
+        cx = er_complex(12, seed=seed)
+        for n in (1, 2):
+            u = decompose_compressed(boundary_oracle(cx, n, GF(p)))
+            cases.append((u, [early_stop_solve(u, j) for j in u.kappa]))
+    monkeypatch.setattr("umatch.sparsify._substitute", lambda t, resid, side, row_perm, pi_inv:
+                        substitute_walk(t, resid, side, row_perm))
+    for u, cols in cases:
+        assert [early_stop_solve(u, j) for j in u.kappa] == cols
+
+
+class _GuardedLines(MatrixOracle):
+    """A stored matrix that fails the test, instead of looping, once more
+    lines are read than a solve of its size can need."""
+
+    def __init__(self, t):
+        self.t, self.field, self.nrows, self.ncols = t, t.field, t.nrows, t.ncols
+        self.reads = 0
+
+    def _read(self, line, i):
+        self.reads += 1
+        assert self.reads <= 2 * self.ncols, "the solve revisits steps"
+        return line(i)
+
+    def row(self, i):
+        return self._read(self.t.row, i)
+
+    def col(self, j):
+        return self._read(self.t.col, j)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_malformed_solves_fail_fast(side):
+    f = GF(7)
+    # a right-hand side longer than the rank, with and without row_perm
+    for row_perm in (None, [2, 0, 1]):
+        rows = row_perm or range(3)
+        perm = [[int(rows[j] == i) for j in range(3)] for i in range(3)]
+        with pytest.raises(InternalInconsistencyError, match="nonzero residual"):
+            triangular_solve(StoredCsMatrix.from_dense(f, perm),
+                             SparseVector.from_pairs(f, [(1, 2), (5, 1)]),
+                             side=side, row_perm=row_perm)
+    # not triangular: a step writes the residual at a step already passed,
+    # which a solve must leave there, whether it took that step before
+    # (it must not take it again) or not (it must not take it late)
+    for dense, key, reads in (([[1, 1], [1, 2]], 1 if side == "left" else 0, 2),
+                              ([[1, 0, 0], [1, 1, 0], [0, 1, 1]], 1, 1)):
+        t = _GuardedLines(StoredCsMatrix.from_dense(f, dense))
+        b = SparseVector.unit(f, key)
+        with pytest.raises(InternalInconsistencyError, match="nonzero residual"):
+            triangular_solve(t, b, side=side)
+        assert t.reads == reads
+    # a row_perm that is not a permutation, where the left solve inverts it
+    if side == "left":
+        with pytest.raises(UsageError, match="permutation"):
+            triangular_solve(t, b, side=side, row_perm=[1, 1])
+
+
+class _CountedPerm(Sequence):
+    """The reversal of range(k), counting its reads; iterating it fails."""
+
+    def __init__(self, k):
+        self.k, self.reads = k, 0
+
+    def __len__(self):
+        return self.k
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.k - 1 - i
+
+    def __iter__(self):
+        raise AssertionError("a solve walked the whole permutation")
+
+
+class _LazyBidiagonal(MatrixOracle):
+    """The k x k upper bidiagonal matrix of ones with its rows reversed,
+    generated on demand: row k-1-i holds columns i and i+1."""
+
+    def __init__(self, k):
+        self.field, self.nrows, self.ncols = GF(7), k, k
+        self.reads = 0
+
+    def row(self, r):
+        self.reads += 1
+        i = self.ncols - 1 - r
+        return SparseVector.from_pairs(self.field, [(j, 1) for j in (i, i + 1) if j < self.ncols])
+
+    def col(self, j):
+        self.reads += 1
+        return SparseVector.from_pairs(self.field, [(self.ncols - 1 - i, 1) for i in (j, j - 1)
+                                                    if i >= 0])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_solve_cost_follows_the_entries_not_the_rank(side):
+    k = 100_000
+    t, row_perm, pi_inv = _LazyBidiagonal(k), _CountedPerm(k), _CountedPerm(k)
+    # the unit vector at step 5 (left) or k-6 (right) takes six steps
+    b = SparseVector.unit(t.field, row_perm[5] if side == "left" else k - 6)
+    row_perm.reads = 0
+    resid = b.to_dict()
+    steps = list(_substitute(t, resid, side, row_perm, pi_inv))
+    assert not resid and len(steps) == 6 == t.reads
+    assert [v for _, v, _ in steps] == [1, 6, 1, 6, 1, 6]
+    assert row_perm.reads <= 2 * (len(steps) + 1)
+    assert pi_inv.reads <= 2 * (len(steps) + 1)
+    if side == "right":
+        # the public solve reads row_perm as sparingly
+        row_perm.reads = 0
+        assert triangular_solve(t, b, side="right", row_perm=row_perm).nnz == 6
+        assert row_perm.reads <= 2 * (len(steps) + 1)
 
 
 def dense_ground_truth(d):
