@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
-from itertools import chain, repeat
-from operator import itemgetter
+from functools import reduce
+from itertools import chain, compress, count, repeat
+from operator import and_, itemgetter
 from typing import Optional
 
 import numpy as np
@@ -28,6 +29,8 @@ from .matrix import MatrixOracle, SparseVector, _apparent_pair
 
 # sort key of (position, coefficient) pairs
 _first = itemgetter(0)
+# binary digits "0" and "1" to bytes 0 and 1
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 # bytes of one (block x n_points) float array in the numpy passes that grow
 # a level of cliques and that find apparent pairs: a block holds a few such
@@ -77,25 +80,27 @@ class _Cells(Sequence):
 
 class _Positions(Mapping):
     """Positions of the cells of a level, by cell and, for the complex, by
-    int key (a simplex rank or a grid id): read from a dense int32 table,
-    the grid's shared `table` or the level's own when it holds a quarter of
-    the `n_keys` keys, else from its keys sorted and searched.  A key names
-    a cell only in its level, so the cell at a key's position is checked."""
+    int key (a simplex rank or a grid id): read from a dense table, the
+    grid's shared `table` or the level's own (int16 below 2**15 cells) when
+    it holds a quarter of the `n_keys` keys, else from its keys sorted and
+    searched.  The cell at a key's position is checked: a key names a cell
+    only in its level."""
 
     def __init__(self, cells: _Cells, key, keys: np.ndarray, n_keys: int = 0, table=None):
         self._cells = cells
         self._key = key
+        width = np.int16 if len(keys) < 2 ** 15 else np.int32
         if table is None and n_keys <= 4 * len(keys):
             # a key of no cell reads -1
-            table = np.full(n_keys, -1, dtype=np.int32)
+            table = np.full(n_keys, -1, dtype=width)
         self._table = table
         if table is not None:
-            table[keys.astype(np.intp)] = np.arange(len(keys), dtype=np.int32)
+            table[keys.astype(np.intp, copy=False)] = np.arange(len(keys), dtype=table.dtype)
             # at[k] reads the position of key k as a Python int, faster
             # than an array lookup on the few entries of a boundary line
             self.at = memoryview(table)
         else:
-            self._sorted_pos = np.argsort(keys).astype(np.int32)
+            self._sorted_pos = np.argsort(keys).astype(width)
             self._sorted_keys = keys[self._sorted_pos]
             # at[k] is k, searched for by sort_entries
             self.at = range(n_keys)
@@ -175,12 +180,12 @@ class FilteredCliqueComplex(_Filtered):
     Each level of cliques is built by numpy passes over blocks of the level
     below: a (d+1)-clique grows from a d-clique by a vertex above its last
     one that lies within the threshold of all its vertices.  A level keeps
-    its int32 vertex array in filtration order, its births, and positions
-    by simplex rank (see _Positions), but no Python object per cell.
-    The ranks of cofaces and faces are summed from a binomial table, so no
-    vertex tuple is built per row entry.  The apparent pairs of a row
-    dimension are found in one batch pass, the first time they are asked
-    for, and kept as a table."""
+    its vertex array (of the narrowest unsigned dtype) in filtration order,
+    its births, and positions by simplex rank (see _Positions), but no
+    Python object per cell.  The ranks of cofaces and faces are summed from
+    a binomial table, so no vertex tuple is built per row entry.  The
+    apparent pairs of a row dimension are found in one batch pass, the
+    first time they are asked for, and kept as a table."""
 
     kind = "clique"
 
@@ -210,9 +215,8 @@ class FilteredCliqueComplex(_Filtered):
         self._w = w = np.where(np.tri(n, dtype=bool).T, self.d, self.d.T)
         adjacent = w <= t
         np.fill_diagonal(adjacent, False)
-        # one int object per vertex id, shared by the neighbour sets
-        ids = list(range(n))
-        self._nbrs = [frozenset(map(ids.__getitem__, np.flatnonzero(a).tolist())) for a in adjacent]
+        # per vertex, the bitmask of its neighbours: bit v for vertex v
+        self._nbrs = [int.from_bytes(np.packbits(a, bitorder="little").tobytes(), "little") for a in adjacent]
         # _binom[k][v] = C(v, k), for the simplex ranks of up to max_dim + 1
         # vertices; _binom_np is the same table as an array
         self._binom = [[math.comb(v, k) for v in range(n)] for k in range(max_dim + 2)]
@@ -222,9 +226,9 @@ class FilteredCliqueComplex(_Filtered):
         self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._build()
 
-    def _common(self, cell: Sequence[int]) -> frozenset:
-        """Vertices adjacent to every vertex of the cell."""
-        return frozenset.intersection(*map(self._nbrs.__getitem__, cell))
+    def _common(self, cell: Sequence[int]) -> int:
+        """Bitmask of the vertices adjacent to every vertex of the cell."""
+        return reduce(and_, map(self._nbrs.__getitem__, cell))
 
     def _rank(self, cell: tuple[int, ...]) -> int:
         """`simplex_rank(cell)`, read from the binomial table."""
@@ -232,24 +236,21 @@ class FilteredCliqueComplex(_Filtered):
         return sum([b[j + 1][v] for j, v in enumerate(cell)])
 
     def _build(self) -> None:
-        # level 0 in lexicographic order: (vertex array, births, ranks); the
-        # rank of (v,) is C(v, 1) = v
+        # level 0 in lexicographic order: [vertex array, births]
         v = np.flatnonzero(np.diagonal(self._w) <= self.threshold)
-        level = (v[:, None].astype(np.int32), self._w[v, v], v.astype(self._binom_np.dtype))
+        level = [v[:, None].astype(np.min_scalar_type(max(self.n_points - 1, 0))), self._w[v, v]]
         for dim in range(self.max_dim + 1):
             grown = self._grow(*level) if dim < self.max_dim else None
-            self._store(dim, *level)
+            self._store(dim, level.pop(0), level.pop())
             level = grown
 
-    def _grow(self, cells: np.ndarray, births: np.ndarray, ranks: np.ndarray):
+    def _grow(self, cells: np.ndarray, births: np.ndarray) -> list[np.ndarray]:
         """The next level in lexicographic order, from this one in
         lexicographic order: each clique grows by every vertex v above its
         last vertex within the threshold of all its vertices, born at the
-        clique's birth or at the largest weight to v, and ranked at the
-        clique's rank plus C(v, size + 1)."""
-        top = self._binom_np[cells.shape[1] + 1]
+        clique's birth or at the largest weight to v."""
         above = np.arange(self.n_points)
-        parts = []
+        parts = [[], []]
         # one block runs even when the level is empty, for the array shapes
         for s in range(0, max(len(cells), 1), self._block):
             block = cells[s:s + self._block]
@@ -261,25 +262,30 @@ class FilteredCliqueComplex(_Filtered):
             grown[:, -1] = v
             born, wv = births[s + p], wmax[p, v]
             np.copyto(born, wv, where=wv > born)
-            parts.append((grown, born, ranks[s + p] + top[v]))
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+            parts[0].append(grown)
+            parts[1].append(born)
+        # one field at a time, its parts dropped once joined
+        return [np.concatenate(parts.pop(0)) for _ in range(2)]
 
-    def _store(self, dim: int, cells: np.ndarray, births: np.ndarray, ranks: np.ndarray) -> None:
-        """Sort a level from lexicographic into (birth, cell) order, in
-        place, by one stable sort on birth, and keep its filtration order:
-        the vertex array, births that share one float per value, and the
-        positions by rank."""
+    def _store(self, dim: int, cells: np.ndarray, births: np.ndarray) -> None:
+        """Sort a level from lexicographic into (birth, cell) order by one
+        stable sort on birth, and keep its filtration order: the vertex
+        array, births that share one float per value, and the positions by
+        simplex rank.  The caller keeps no reference to the arrays, so each
+        is freed once it has been read."""
         order = np.argsort(births, kind="stable")
-        for a in (cells, births, ranks):
-            a[:] = a[order]
+        cells, births = cells[order], births[order]
         del order
         # runs of equal births, told apart by bits so that 0.0 and -0.0 stay
         bits = births.view(np.int64)
         first = np.ones(len(bits), dtype=bool)
         first[1:] = bits[1:] != bits[:-1]
         starts = np.flatnonzero(first)
-        counts = np.diff(np.append(starts, len(births)))
-        born = list(chain.from_iterable(map(repeat, births[starts].tolist(), counts.tolist())))
+        counts = np.diff(np.append(starts, len(births))).tolist()
+        values = births[starts].tolist()
+        del births, bits, first, starts
+        ranks = sum(self._binom_np[k + 1, cells[:, k]] for k in range(dim + 1))
+        born = list(chain.from_iterable(map(repeat, values, counts)))
         seq = _Cells(cells)
         pos = _Positions(seq, self._rank, ranks, math.comb(self.n_points, dim + 1))
         self._orders[dim] = FiltrationOrder(dim, seq, born, pos)
@@ -304,7 +310,8 @@ class FilteredCliqueComplex(_Filtered):
     def _runs(self, cell: Sequence[int], minus: int):
         """The sorted common neighbours of the cell, cut into the runs that
         go in at one slot k: (k, 1 or `minus` for odd k, run)."""
-        vs = sorted(self._common(cell))
+        # byte v of the mask's reversed binary digits is 1 for a vertex v
+        vs = list(compress(count(), bin(self._common(cell)).encode()[:1:-1].translate(_BITS)))
         lo = 0
         for k in range(len(cell) + 1):
             hi = bisect_left(vs, cell[k], lo) if k < len(cell) else len(vs)

@@ -298,7 +298,7 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
     # row is the unit row, kept implicitly
     rbar_rows: dict[int, dict[int, int]] = {}
     row_of_lead: dict[int, int] = {}  # matched column -> pivot row
-    coeff_of_lead: dict[int, int] = {}  # matched column -> matching coefficient
+    coeff_of_lead: dict[int, int] = {}  # matched column -> matching coefficient, when not 1
     # row of d -> its compact line: the positions as machine ints, and the
     # coefficients as bytes when p < 256, a tuple otherwise, or None when
     # all are 1
@@ -355,7 +355,8 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
                     "pareto-leading column is already matched"
                 )
             row_of_lead[k] = i
-            coeff_of_lead[k] = a
+            if a != 1:
+                coeff_of_lead[k] = a
             if counter is not None:
                 counter.pareto_hits += 1
             continue
@@ -384,9 +385,10 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
                 # new pivot
                 rbar_rows[i] = {i: 1, **vec}
                 row_of_lead[k] = i
-                coeff_of_lead[k] = a
+                if a != 1:
+                    coeff_of_lead[k] = a
                 break
-            neg_lam = f.neg(f.div(a, coeff_of_lead[k]))
+            neg_lam = f.neg(f.div(a, coeff_of_lead.get(k, 1)))
             # the reduced pivot row j, row_j(rbar) * D, is zero before k
             # and cancels a at k, so its rows are streamed from past k
             ops = rbar_rows[j].items() if j in rbar_rows else ((j, 1),)
@@ -399,7 +401,7 @@ def decompose_compressed(d: MatrixOracle, opts: DecomposeOptions = DecomposeOpti
         sources.clear()
     memo.clear()
 
-    matching = MatchingArray(m, n, ((r, c, coeff_of_lead[c]) for c, r in row_of_lead.items()))
+    matching = MatchingArray(m, n, ((r, c, coeff_of_lead.get(c, 1)) for c, r in row_of_lead.items()))
     # rbar in CSR form, one row per pivot row in order; rho is sorted, so
     # sorting a row by absolute index sorts it by pivot-row position
     pos = matching.rho_pos

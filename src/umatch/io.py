@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -195,6 +196,9 @@ def barcode_json(engine, dims) -> dict:
 
 
 def dump_json(obj, out: TextIO) -> None:
-    """obj as indented JSON with sorted keys and a final newline, in one
-    write: json.dump would make a write per token."""
-    out.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    """obj as json.dumps writes it indented, with sorted keys, and a final
+    newline, in batches of tokens: not a write per token, nor all at once."""
+    tokens = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(obj)
+    while batch := "".join(islice(tokens, 512)):
+        out.write(batch)
+    out.write("\n")

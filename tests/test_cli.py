@@ -170,6 +170,28 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_barcode_command_memory(tmp_path):
+    import gc
+    import tracemalloc
+
+    d = tmp_path / "er50.csv"
+    d.write_text("".join(",".join(map(repr, row)) + "\n" for row in er_complex(50, seed=0).d.tolist()))
+    argv = ["barcode", str(d), "--input-type", "distances", "--max-dim", "2",
+            "--output", str(tmp_path / "bars.json")]
+    # a first run does what only a first run does, such as lazy imports
+    assert main(argv) == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the complex holds each level once, in its narrowest form, and the JSON
+    # is written in batches, not built whole
+    assert peak <= 1.10 * 2 ** 20
+
+
 def test_nan_threshold_exits_2(tmp_path, capsys):
     d = tmp_path / "t.csv"
     d.write_text("0,1,2\n1,0,1.5\n2,1.5,0\n")

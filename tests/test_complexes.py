@@ -359,9 +359,9 @@ def test_object_ranks_give_the_same_complex(monkeypatch):
 
 
 def assert_against_tuples(cx, d, max_dim, threshold, p=7):
-    """Cells, births, `pos`, rows and columns of a clique complex as a plain
-    tuple-keyed reference has them, every vertex and position a Python
-    int."""
+    """Cells, births, `pos`, rows, columns and apparent pairs of a clique
+    complex as a plain tuple-keyed reference has them, every vertex and
+    position a Python int."""
     ref = clique_reference(d, max_dim, threshold)
     ref_pos = {dim: {c: i for i, (_, c) in enumerate(ref[dim])} for dim in ref}
     for dim in ref:
@@ -373,15 +373,22 @@ def assert_against_tuples(cx, d, max_dim, threshold, p=7):
     for n in range(1, max_dim + 1):
         oracle = boundary_oracle(cx, n, GF(p))
         rows = [[] for _ in range(oracle.nrows)]
-        for j, col in enumerate(boundary_reference(ref, n, p, simplex_faces_signed)):
+        cols = boundary_reference(ref, n, p, simplex_faces_signed)
+        for j, col in enumerate(cols):
             entries = oracle.col(j).entries
             assert list(entries) == col and all(type(i) is int for i, _ in entries)
             for i, v in col:
                 rows[i].append((j, v))
+        hits = set()
         for i, row in enumerate(rows):
             entries = oracle.row(i).entries
             assert list(entries) == row
             assert all(type(j) is int and type(v) is int for j, v in entries)
+            hit = oracle.pareto_leading(i)
+            if hit is not None:
+                assert hit == row[0]
+                hits.add((i, hit[0]))
+        assert hits == pareto_reference(cols)
 
 
 def test_cells_compare_as_lists_of_int_tuples():
@@ -455,6 +462,67 @@ def test_more_vertices_than_cpython_shares_ints():
         assert cx.n_cells(0) == 300 and (cx.order(1).pos._table is None) == searched
         assert cx.order(0).cells[299] == (299,)
         assert_against_tuples(cx, cx.d, 1, threshold)
+
+
+def width_case(n, drop):
+    """A random dissimilarity on n points, and a threshold that leaves out
+    its `drop` largest pairs (none for drop 0)."""
+    rnd = np.random.default_rng(n)
+    d = rnd.random((n, n))
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    weights = np.sort(d[np.triu_indices(n, 1)])
+    return d, float(weights[-1 - drop])
+
+
+@pytest.mark.parametrize("n, max_dim, drop, vertex, widths", [
+    # 32,640 edges, or 100 fewer: int16 positions, uint8 vertices
+    (256, 1, 0, np.uint8, (np.int16, np.int16)),
+    (256, 1, 100, np.uint8, (np.int16, np.int16)),
+    # 32,896 edges, or 100 fewer: int32 positions, uint16 vertices
+    (257, 1, 0, np.uint16, (np.int16, np.int32)),
+    (257, 1, 100, np.uint16, (np.int16, np.int32)),
+    # 34,220 triangles, or at most 10 * 58 fewer: int32 positions
+    (60, 2, 0, np.uint8, (np.int16, np.int16, np.int32)),
+    (60, 2, 10, np.uint8, (np.int16, np.int16, np.int32)),
+])
+def test_narrow_widths_match_tuple_reference(n, max_dim, drop, vertex, widths):
+    d, threshold = width_case(n, drop)
+    cx = FilteredCliqueComplex(d, max_dim, threshold)
+    assert [cx.order(k).cells.array.dtype for k in range(max_dim + 1)] == [np.dtype(vertex)] * (max_dim + 1)
+    assert [cx.order(k).pos._table.dtype for k in range(max_dim + 1)] == [np.dtype(w) for w in widths]
+    # below the largest weight, some vertices miss some neighbours, and the
+    # bitmask ANDs meet neighbourhoods that are not complete
+    assert cx.n_cells(1) == math.comb(n, 2) - drop
+    assert_against_tuples(cx, d, max_dim, threshold)
+
+
+def test_searched_positions_past_int16():
+    # 37,814 triangles among C(120, 3) ranks: searched, not tabled, and too
+    # many for int16 positions
+    pts = np.random.default_rng(4).random((120, 2))
+    cx = clique_from_points(pts, max_dim=2, threshold=0.45)
+    pos = cx.order(2).pos
+    assert pos._table is None and cx.n_cells(2) == 37814 and pos._sorted_pos.dtype == np.int32
+    assert_against_tuples(cx, cx.d, 2, 0.45)
+
+
+def test_clique_complex_compact():
+    import gc
+    import tracemalloc
+
+    d = er_complex(50, seed=0, max_dim=2).d
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cx = FilteredCliqueComplex(d, 2, float(d.max()))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cx.n_cells(2) == 19600
+    # uint8 vertices, int16 positions, a bitmask per vertex's neighbours;
+    # the level being built is held once, its parts freed as it is joined
+    assert retained <= 450 * 2 ** 10
+    assert peak <= 1.0 * 2 ** 20
 
 
 def test_clique_complex_memory():

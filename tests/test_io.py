@@ -1,10 +1,15 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
-from umatch import GF, StoredCsMatrix, UsageError
+import umatch.cli
+from umatch import GF, PersistenceEngine, StoredCsMatrix, UsageError
+from umatch.datasets import er_complex, grf2d_complex
 from umatch.io import (
+    bar_json,
+    barcode_json,
     dump_json,
     read_distance_csv,
     read_image_text,
@@ -89,6 +94,66 @@ def test_text_readers_skip_comments_and_blanks_in_line_numbers(reader, lines, me
     with pytest.raises(UsageError) as exc:
         reader(lines)
     assert str(exc.value) == message
+
+
+def dumps_reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def dump_payloads():
+    """Payloads of every JSON output: a barcode, generators with chains,
+    cubical cells, a decompose summary, and edge cases."""
+    clique = PersistenceEngine(er_complex(12, seed=1), GF(7))
+    cubical = PersistenceEngine(grf2d_complex(6), GF(2))
+    yield barcode_json(clique, [0, 1])
+    yield {"field": 7, "bars": [bar_json(clique, b, clique.cycle_representative(b)) for b in clique.bars(1)]}
+    yield barcode_json(cubical, [0, 1])
+    yield {"field": 2, "bars": [bar_json(cubical, b, cubical.cycle_representative(b)) for b in cubical.bars(1)]}
+    yield {"cols": 3, "field": 7, "nnz_d": 5, "nnz_matching": 3, "nnz_rbar_offdiag": 1, "rank": 3, "rows": 3,
+           "verified": True}
+    yield from ({}, [], {"a": {}, "b": []}, [[], {}], "", 0, None)
+    yield {"name": "Ren\u00e9e \u2192 \U0001f600", "\u00e9": ["\u00fc", -0.0, 1e300, 2 ** 70]}
+    # a payload of many batches
+    yield {"bars": [{"birth": i / 7, "cell": [i, i + 1], "death": None} for i in range(3000)]}
+
+
+@pytest.mark.parametrize("obj", list(dump_payloads()))
+def test_dump_json_writes_the_bytes_of_dumps(obj):
+    buf = io.StringIO()
+    dump_json(obj, buf)
+    assert buf.getvalue() == dumps_reference(obj)
+
+
+def test_dump_json_writes_in_batches():
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    obj = {"bars": [{"birth": i / 7, "cell": [i, i + 1], "death": None} for i in range(3000)]}
+    out = Recorder()
+    dump_json(obj, out)
+    assert out.getvalue() == dumps_reference(obj)
+    # neither one write per token nor one write of the whole text
+    assert 10 < len(writes) < 200
+
+
+def test_dump_json_nan_keeps_existing_output(tmp_path, monkeypatch):
+    with pytest.raises(ValueError):
+        dump_json({"a": [1, float("nan")]}, io.StringIO())
+    d = tmp_path / "dist.csv"
+    d.write_text("0,1,2\n1,0,1.5\n2,1.5,0\n")
+    out = tmp_path / "bars.json"
+    out.write_bytes(b"earlier result\n")
+    # a NaN after more than one batch of tokens has been written
+    many = [{"birth": i / 7} for i in range(3000)]
+    monkeypatch.setattr(umatch.cli, "barcode_json", lambda engine, dims: {"bars": many + [float("nan")]})
+    with pytest.raises(ValueError):
+        umatch.cli.main(["barcode", str(d), "--input-type", "distances", "--output", str(out)])
+    assert out.read_bytes() == b"earlier result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bars.json", "dist.csv"]
 
 
 def test_dump_json_bytes():
